@@ -21,10 +21,7 @@ from .ring import (
     ZetaFactorization,
     e_polynomial,
     euler_realization,
-    keyed_combine,
-    lefschetz_arith,
     zeta_equal,
-    zeta_normalize,
 )
 from .model import (
     Chart,

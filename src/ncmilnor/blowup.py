@@ -40,16 +40,14 @@ from .model import (
     NCModel,
     Stratum,
     Violation,
-    _require_keys,
+    class_field,
+    id_list_field,
+    int_field,
+    parse_json,
+    require_keys,
     require_valid,
 )
-from .ring import (
-    KeyedClass,
-    LefschetzPoly,
-    ZetaFactorization,
-    keyed_combine,
-    zeta_equal,
-)
+from .ring import KeyedClass, LefschetzPoly, ZetaFactorization, zeta_equal
 
 
 class CenterSpec:
@@ -273,7 +271,7 @@ class InvarianceReport:
 
     @property
     def keyed_delta(self) -> KeyedClass:
-        return keyed_combine(self.keyed_after, self.keyed_before, "sub")
+        return self.keyed_after - self.keyed_before
 
 
 def check_invariance(model: NCModel, center: CenterSpec) -> InvarianceReport:
@@ -320,16 +318,11 @@ def telescoping_check(k: int) -> bool:
 def load_center(text: str) -> CenterSpec:
     """Parse a centre document: {"K": [...], "L": [...], "codim": n,
     "new_component_id": "...", "center_strata": [{"R": [...], "class": [...]}]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    _require_keys(doc, ("K", "L", "codim", "new_component_id", "center_strata"), (), "center")
-    for key in ("K", "L"):
-        if not isinstance(doc[key], list) or not all(isinstance(x, str) for x in doc[key]):
-            raise ModelParseError(f"field {key!r} must be a list of ids", where="center")
-    if not isinstance(doc["codim"], int) or isinstance(doc["codim"], bool):
-        raise ModelParseError("field 'codim' must be an integer", where="center")
+    doc = parse_json(text)
+    require_keys(doc, ("K", "L", "codim", "new_component_id", "center_strata"), (), "center")
+    containing = id_list_field(doc, "K", "center")
+    transverse = id_list_field(doc, "L", "center")
+    codim = int_field(doc, "codim", "center")
     if not isinstance(doc["new_component_id"], str):
         raise ModelParseError("field 'new_component_id' must be a string", where="center")
     if not isinstance(doc["center_strata"], list):
@@ -337,18 +330,13 @@ def load_center(text: str) -> CenterSpec:
     pieces = {}
     for i, item in enumerate(doc["center_strata"]):
         where = f"center_strata[{i}]"
-        _require_keys(item, ("R", "class"), (), where)
-        if not isinstance(item["R"], list) or not all(isinstance(x, str) for x in item["R"]):
-            raise ModelParseError("field 'R' must be a list of ids", where=where)
-        if not isinstance(item["class"], list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in item["class"]
-        ):
-            raise ModelParseError("field 'class' must be a list of integers", where=where)
-        key = frozenset(item["R"])
+        require_keys(item, ("R", "class"), (), where)
+        key = frozenset(id_list_field(item, "R", where))
+        cls = class_field(item["class"], where)
         if key in pieces:
             raise ModelParseError(f"duplicate subset {sorted(key)}", where=where)
-        pieces[key] = LefschetzPoly(item["class"])
-    return CenterSpec(doc["K"], doc["L"], doc["codim"], pieces, doc["new_component_id"])
+        pieces[key] = cls
+    return CenterSpec(containing, transverse, codim, pieces, doc["new_component_id"])
 
 
 def save_center(center: CenterSpec) -> str:

@@ -369,8 +369,7 @@ class PsiImage:
         return dict(self.residual)
 
 
-def _bezout_for(p_or_ctx, coords: Sequence[int]) -> tuple[int, dict[int, int]]:
-    ctx = p_or_ctx if isinstance(p_or_ctx, ChartContext) else p_or_ctx.chart
+def _bezout_for(ctx: ChartContext, coords: Sequence[int]) -> tuple[int, dict[int, int]]:
     order, coeffs = bezout_chain([ctx.multiplicity(c) for c in coords])
     return order, dict(zip(coords, coeffs))
 
@@ -381,7 +380,7 @@ def psi_map(p: CplPoint) -> PsiImage:
     if classify(p).tag != "mot":
         raise NonMotivicPointError("the Bezout splitting lives on the algebraic part")
     coords = list(p.vanishing())
-    order, alpha = _bezout_for(p, coords)
+    order, alpha = _bezout_for(p.chart, coords)
     values = {coord: pc.value() for coord, pc in p.polar}
     scale = 1.0 + 0.0j
     for coord in coords:

@@ -371,7 +371,18 @@ def _fraction_from_str(text: str, where: str) -> Fraction:
         raise ModelParseError(f"bad rational {text!r}: {exc}", where=where) from None
 
 
-def _require_keys(obj: dict, required: Sequence[str], optional: Sequence[str], where: str):
+def parse_json(text: str):
+    """``json.loads``, with decode errors raised as ``ModelParseError``
+    carrying the line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+
+
+def require_keys(obj: dict, required: Sequence[str], optional: Sequence[str], where: str):
+    """Require ``obj`` to be an object holding every required key and no key
+    outside ``required`` and ``optional``."""
     if not isinstance(obj, dict):
         raise ModelParseError(f"expected an object, got {type(obj).__name__}", where=where)
     missing = [k for k in required if k not in obj]
@@ -382,14 +393,24 @@ def _require_keys(obj: dict, required: Sequence[str], optional: Sequence[str], w
         raise ModelParseError(f"unknown fields {unknown}", where=where)
 
 
-def _int_field(obj: dict, key: str, where: str) -> int:
+def int_field(obj: dict, key: str, where: str) -> int:
+    """The integer (not boolean) value of ``obj[key]``."""
     value = obj[key]
     if not isinstance(value, int) or isinstance(value, bool):
         raise ModelParseError(f"field {key!r} must be an integer", where=where)
     return value
 
 
-def _class_field(value, where: str) -> LefschetzPoly:
+def id_list_field(obj: dict, key: str, where: str) -> list[str]:
+    """The value of ``obj[key]``, which must be a list of component ids."""
+    value = obj[key]
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ModelParseError(f"field {key!r} must be a list of ids", where=where)
+    return value
+
+
+def class_field(value, where: str) -> LefschetzPoly:
+    """A stratum class given as its list of integer coefficients."""
     if not isinstance(value, list) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in value
     ):
@@ -403,7 +424,7 @@ def _unit_from_json(value, where: str) -> UnitPoly:
     terms: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
     for i, term in enumerate(value):
         twhere = f"{where}.unit[{i}]"
-        _require_keys(term, ("re", "im", "exponents"), (), twhere)
+        require_keys(term, ("re", "im", "exponents"), (), twhere)
         if not isinstance(term["exponents"], list):
             raise ModelParseError("'exponents' must be a list", where=twhere)
         exponents = tuple(term["exponents"])
@@ -423,12 +444,8 @@ def load_model(text: str, check: bool = True) -> NCModel:
     """Parse a model document.  With ``check`` (the default), invariant
     violations raise ``InvalidModelError``; parse and schema problems raise
     ``ModelParseError`` regardless."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
-
-    _require_keys(doc, ("ambient_dim", "mode", "components", "strata"), ("charts",), "document")
+    doc = parse_json(text)
+    require_keys(doc, ("ambient_dim", "mode", "components", "strata"), ("charts",), "document")
     if not isinstance(doc["mode"], str):
         raise ModelParseError("field 'mode' must be a string", where="document")
 
@@ -437,27 +454,24 @@ def load_model(text: str, check: bool = True) -> NCModel:
         raise ModelParseError("field 'components' must be a list", where="document")
     for i, item in enumerate(doc["components"]):
         where = f"components[{i}]"
-        _require_keys(item, ("id", "multiplicity"), (), where)
+        require_keys(item, ("id", "multiplicity"), (), where)
         if not isinstance(item["id"], str):
             raise ModelParseError("field 'id' must be a string", where=where)
-        components.append(Component(item["id"], _int_field(item, "multiplicity", where)))
+        components.append(Component(item["id"], int_field(item, "multiplicity", where)))
 
     strata = []
     if not isinstance(doc["strata"], list):
         raise ModelParseError("field 'strata' must be a list", where="document")
     for i, item in enumerate(doc["strata"]):
         where = f"strata[{i}]"
-        _require_keys(item, ("components", "class"), (), where)
-        if not isinstance(item["components"], list) or not all(
-            isinstance(c, str) for c in item["components"]
-        ):
-            raise ModelParseError("field 'components' must be a list of ids", where=where)
-        strata.append(Stratum(item["components"], _class_field(item["class"], where)))
+        require_keys(item, ("components", "class"), (), where)
+        strata.append(Stratum(id_list_field(item, "components", where),
+                              class_field(item["class"], where)))
 
     charts = []
     for i, item in enumerate(doc.get("charts", [])):
         where = f"charts[{i}]"
-        _require_keys(item, ("dim", "divisor_coords", "unit"), (), where)
+        require_keys(item, ("dim", "divisor_coords", "unit"), (), where)
         raw = item["divisor_coords"]
         if not isinstance(raw, dict):
             raise ModelParseError("'divisor_coords' must be an object", where=where)
@@ -472,10 +486,10 @@ def load_model(text: str, check: bool = True) -> NCModel:
             if idx in coords:
                 raise ModelParseError(f"duplicate coordinate index {idx}", where=where)
             coords[idx] = v
-        charts.append(Chart(_int_field(item, "dim", where), coords,
+        charts.append(Chart(int_field(item, "dim", where), coords,
                             _unit_from_json(item["unit"], where)))
 
-    model = NCModel(_int_field(doc, "ambient_dim", "document"), doc["mode"],
+    model = NCModel(int_field(doc, "ambient_dim", "document"), doc["mode"],
                     components, strata, charts)
     if check:
         require_valid(model)

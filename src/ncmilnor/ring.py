@@ -17,8 +17,12 @@ Three value types live here, all with exact integer coefficients:
 
 * ``ZetaFactorization``, a finite product of factors (1 - t^N)^e with
   integer exponents, in normal form (orders strictly increasing, exponents
-  nonzero).  Equality of the rational functions they represent is decided
-  exactly by clearing negative exponents and comparing polynomial products.
+  nonzero).  The normal form is canonical, so equality of normal forms is
+  equality of the rational functions they represent: 1 - t^N is, up to
+  sign, the product of the cyclotomic polynomials Phi_d over the divisors d
+  of N, and the map from the exponents e_N to the cyclotomic exponents
+  sum_{d | N} e_N is unitriangular (A'Campo, La fonction zeta d'une
+  monodromie, 1975).
 
 Realizations of LefschetzPoly: ``euler_realization`` evaluates at L = 1
 (compactly supported Euler characteristic) and ``e_polynomial`` substitutes
@@ -34,8 +38,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------
-# low-level coefficient-list arithmetic (shared by LefschetzPoly and the
-# zeta-factorization comparison, both of which are Z[x] under the hood)
+# low-level coefficient-list arithmetic for LefschetzPoly
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
     n = len(coeffs)
@@ -203,17 +206,6 @@ ZERO = LefschetzPoly.zero()
 ONE = LefschetzPoly.one()
 
 
-def lefschetz_arith(a: LefschetzPoly, b: LefschetzPoly, op: str) -> LefschetzPoly:
-    """Apply ``op`` in {"add", "sub", "mul"} to two polynomials, exactly."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def euler_realization(p: LefschetzPoly) -> int:
     """Evaluate at L = 1, the compactly supported Euler characteristic."""
     return p.evaluate(1)
@@ -294,8 +286,9 @@ class KeyedClass:
     """A finite family of LefschetzPoly values indexed by monodromy order.
 
     Keys are positive integers; entries holding the zero polynomial are
-    dropped on construction.  Equality is keywise.  Note that this is a
-    non-canonical diagnostic: keyed values that the equivariant ring
+    dropped on construction.  Addition, subtraction and equality are
+    keywise, and entries that cancel to zero are dropped.  Note that this is
+    a non-canonical diagnostic: keyed values that the equivariant ring
     identifies can compare unequal here, and in particular the keyed data of
     a model is NOT invariant under blow-ups (only its realizations are).
     """
@@ -315,6 +308,15 @@ class KeyedClass:
 
     def __setattr__(self, name, value):
         raise AttributeError("KeyedClass is immutable")
+
+    def __add__(self, other: "KeyedClass") -> "KeyedClass":
+        out = dict(self.entries)
+        for key, poly in other.entries.items():
+            out[key] = out.get(key, ZERO) + poly
+        return KeyedClass(out)
+
+    def __sub__(self, other: "KeyedClass") -> "KeyedClass":
+        return self + KeyedClass({key: -poly for key, poly in other.entries.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KeyedClass) and self.entries == other.entries
@@ -339,17 +341,6 @@ class KeyedClass:
 
     def __repr__(self) -> str:
         return f"KeyedClass({self.entries!r})"
-
-
-def keyed_combine(a: KeyedClass, b: KeyedClass, op: str) -> KeyedClass:
-    """Keywise add or sub; entries that cancel to zero are dropped."""
-    if op not in ("add", "sub"):
-        raise ValueError(f"unknown operation {op!r}")
-    out = dict(a.entries)
-    for key, poly in b.entries.items():
-        current = out.get(key, ZERO)
-        out[key] = current + poly if op == "add" else current - poly
-    return KeyedClass(out)
 
 
 class ZetaFactorization:
@@ -398,36 +389,14 @@ class ZetaFactorization:
         return f"ZetaFactorization({list(self.factors)!r})"
 
 
-def zeta_normalize(z: ZetaFactorization) -> ZetaFactorization:
-    """Merge equal orders, drop zero exponents, sort by order.
-
-    Construction already normalizes, so this is the identity on the type;
-    it exists so that callers holding raw factor lists have a named entry
-    point: ``zeta_normalize(ZetaFactorization(pairs))``.
-    """
-    return ZetaFactorization(z.factors)
-
-
-def _one_minus_t_power(order: int) -> tuple[int, ...]:
-    return _trim([1] + [0] * (order - 1) + [-1])
-
-
 def zeta_equal(a: ZetaFactorization, b: ZetaFactorization) -> bool:
     """Exact equality of the rational functions prod (1 - t^N)^e.
 
-    Negative-exponent factors are moved across the equality and the two
-    resulting polynomial products are compared coefficientwise.
+    This is equality of normal forms.  Writing 1 - t^N = -prod_{d | N} Phi_d,
+    a factorization with exponents e_N has cyclotomic exponents
+    c_d = sum_{d | N} e_N.  That map is unitriangular for divisibility (c_d
+    is e_d plus terms from multiples of d), hence injective, and the Phi_d
+    are pairwise coprime irreducibles; so two normal forms give the same
+    rational function exactly when they are equal.
     """
-    lhs: tuple[int, ...] = (1,)
-    rhs: tuple[int, ...] = (1,)
-    for order, exponent in a:
-        if exponent > 0:
-            lhs = _mul(lhs, _pow(_one_minus_t_power(order), exponent))
-        else:
-            rhs = _mul(rhs, _pow(_one_minus_t_power(order), -exponent))
-    for order, exponent in b:
-        if exponent > 0:
-            rhs = _mul(rhs, _pow(_one_minus_t_power(order), exponent))
-        else:
-            lhs = _mul(lhs, _pow(_one_minus_t_power(order), -exponent))
-    return lhs == rhs
+    return a == b

@@ -23,6 +23,7 @@ from ncmilnor.model import (
     NCModel,
     Stratum,
     builtin_example,
+    power_model,
     validate,
 )
 from ncmilnor.ring import KeyedClass, LefschetzPoly
@@ -208,6 +209,11 @@ class TestInvariance:
         assert report.all_invariant
         assert report.absolute_before == report.absolute_after == LM1
         assert report.euler_before == 1
+
+    def test_huge_multiplicity(self):
+        # 10**20 exceeds 2**63: the comparison must not depend on the size of N
+        report = check_invariance(power_model(10**20), point_center(["x"], codim=1))
+        assert report.all_invariant is True
 
     def test_cusp_free_points(self):
         cusp = builtin_example("cusp_resolved")

@@ -135,6 +135,17 @@ class TestBlowupFlow:
         assert payload["all_equal"] is True
         assert payload["keyed_delta"] == {"1": [1, -1], "2": [-1, 1]}
 
+    def test_huge_multiplicity(self, capsys, tmp_path):
+        model_path = tmp_path / "power.json"
+        code, _, _ = run(capsys, "examples", "--name", f"power_{10**20}",
+                         "--out", str(model_path))
+        assert code == 0
+        center_path = tmp_path / "point.json"
+        center_path.write_text(save_center(point_center(["x"], codim=1)))
+        code, out, _ = run(capsys, "invariance", str(model_path), "--center", str(center_path))
+        assert code == 0
+        assert "all realizations equal" in out
+
     def test_center_outside_tracked_locus(self, capsys, tmp_path, xy_path):
         center_path = tmp_path / "offside.json"
         center_path.write_text(save_center(point_center(("x",), codim=2)))

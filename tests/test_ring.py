@@ -13,10 +13,7 @@ from ncmilnor.ring import (
     ZetaFactorization,
     e_polynomial,
     euler_realization,
-    keyed_combine,
-    lefschetz_arith,
     zeta_equal,
-    zeta_normalize,
 )
 
 polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=9).map(LefschetzPoly)
@@ -26,17 +23,39 @@ zetas = st.lists(
 ).map(ZetaFactorization)
 
 
+def _dense_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def dense_equal(a, b):
+    """Oracle for zeta equality that does not use the normal form: move the
+    negative-exponent factors across the equality, expand both sides as dense
+    polynomials in t and compare their coefficients.  Cost grows with the
+    orders and exponents, so only the small ``zetas`` inputs are fed to it."""
+    sides = [[1], [1]]
+    for side, z in enumerate((a, b)):
+        for order, exponent in z:
+            target = side if exponent > 0 else 1 - side
+            for _ in range(abs(exponent)):
+                sides[target] = _dense_mul(sides[target], [1] + [0] * (order - 1) + [-1])
+    return sides[0] == sides[1]
+
+
 class TestLefschetzArith:
     def test_binomial_square(self):
-        assert lefschetz_arith(L - ONE, L - ONE, "mul") == LefschetzPoly((1, -2, 1))
+        assert (L - ONE) * (L - ONE) == LefschetzPoly((1, -2, 1))
 
     def test_additive_identity(self):
         p = LefschetzPoly((3, 0, -7))
-        assert lefschetz_arith(p, ZERO, "add") == p
+        assert p + ZERO == p
 
     def test_cancellation(self):
         p = L + ONE
-        assert lefschetz_arith(p, p, "sub") == ZERO
+        assert p - p == ZERO
         assert (p - p).is_zero
 
     def test_normal_form_no_trailing_zeros(self):
@@ -48,10 +67,6 @@ class TestLefschetzArith:
             LefschetzPoly.monomial(-1)
         with pytest.raises(ValueError):
             L ** -1
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            lefschetz_arith(L, L, "div")
 
     @given(polys, polys)
     def test_commutative(self, a, b):
@@ -108,17 +123,15 @@ class TestRealizations:
 
 class TestKeyedClass:
     def test_disjoint_keys(self):
-        assert keyed_combine(KeyedClass({1: L}), KeyedClass({2: ONE}), "add") == KeyedClass(
-            {1: L, 2: ONE}
-        )
+        assert KeyedClass({1: L}) + KeyedClass({2: ONE}) == KeyedClass({1: L, 2: ONE})
 
     def test_cancellation_empties(self):
-        assert keyed_combine(KeyedClass({1: L}), KeyedClass({1: L}), "sub") == KeyedClass()
+        difference = KeyedClass({1: L}) - KeyedClass({1: L})
+        assert difference == KeyedClass()
+        assert difference.entries == {}
 
     def test_identity(self):
-        assert keyed_combine(KeyedClass(), KeyedClass({3: L - ONE}), "add") == KeyedClass(
-            {3: L - ONE}
-        )
+        assert KeyedClass() + KeyedClass({3: L - ONE}) == KeyedClass({3: L - ONE})
 
     def test_zero_entries_dropped(self):
         assert KeyedClass({2: ZERO, 3: L}).entries == {3: L}
@@ -143,7 +156,9 @@ class TestZeta:
 
     def test_equal_distinguishes_expansions(self):
         # (1 - t^2) expands to 1 - t^2, while (1 - t)^2 is 1 - 2t + t^2
-        assert not zeta_equal(ZetaFactorization([(2, 1)]), ZetaFactorization([(1, 2)]))
+        a, b = ZetaFactorization([(2, 1)]), ZetaFactorization([(1, 2)])
+        assert not zeta_equal(a, b)
+        assert not dense_equal(a, b)
 
     def test_equal_after_normalize(self):
         a = ZetaFactorization([(2, 1)])
@@ -159,18 +174,25 @@ class TestZeta:
     def test_cyclotomic_identity(self):
         # (1-t^2) = (1-t)(1+t) is NOT of the shape (1-t^N)^e, so the products
         # (1-t^2)(1-t^3) and (1-t)(1-t^6) differ even though degrees match.
-        assert not zeta_equal(
-            ZetaFactorization([(2, 1), (3, 1)]), ZetaFactorization([(1, 1), (6, 1)])
-        )
+        a = ZetaFactorization([(2, 1), (3, 1)])
+        b = ZetaFactorization([(1, 1), (6, 1)])
+        assert not zeta_equal(a, b)
+        assert not dense_equal(a, b)
 
     def test_negative_exponents_cross_multiplied(self):
         # (1-t^2)/(1-t^2) == 1
-        assert zeta_equal(ZetaFactorization([(2, 1), (2, -1)]), ZetaFactorization())
+        a = ZetaFactorization([(2, 1), (2, -1)])
+        assert zeta_equal(a, ZetaFactorization())
+        assert dense_equal(a, ZetaFactorization())
+        # (1-t)^2 (1-t^2)^-1 is (1-t)/(1+t), not 1
+        b = ZetaFactorization([(1, 2), (2, -1)])
+        assert not zeta_equal(b, ZetaFactorization())
+        assert not dense_equal(b, ZetaFactorization())
 
     @given(zetas)
     def test_equal_reflexive_and_stable_under_normalize(self, z):
         assert zeta_equal(z, z)
-        assert zeta_equal(z, zeta_normalize(z))
+        assert ZetaFactorization(z.factors) == z
 
     @given(zetas, zetas)
     def test_equal_symmetric(self, a, b):
@@ -179,7 +201,7 @@ class TestZeta:
     @given(zetas, zetas)
     def test_normal_form_decides_equality(self, a, b):
         # for factorizations into (1-t^N) powers the normal form is canonical
-        assert zeta_equal(a, b) == (a == b)
+        assert dense_equal(a, b) == (a == b)
 
     def test_text_form(self):
         assert str(ZetaFactorization([(6, -1), (2, 1), (3, 1)])) == "(1-t^2)^1 (1-t^3)^1 (1-t^6)^-1"
