@@ -45,6 +45,7 @@ from .model import (
 from .milnor import (
     MotivicTerm,
     PsiData,
+    absolute_from_keyed,
     acampo_zeta,
     keyed_class,
     milnor_fibre_euler,

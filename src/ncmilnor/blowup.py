@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping
 
-from .milnor import acampo_zeta, keyed_class, milnor_fibre_euler, naive_absolute_class
+from .milnor import absolute_from_keyed, acampo_zeta, keyed_class, milnor_fibre_euler
 from .model import (
     Component,
     InvalidModelError,
@@ -227,10 +227,13 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
         else:
             strata.append(stratum)
 
+    q_subsets = _subsets(k_ids)
+    # the fibre class depends on |Q| only
+    fibres = [exceptional_fibre_strata(center.codim, len(k_ids), size)
+              for size in range(len(k_ids) + 1)]
     for rest, centre_cls in sorted(center.center_strata.items(), key=lambda kv: sorted(kv[0])):
-        for q_subset in _subsets(k_ids):
-            fibre = exceptional_fibre_strata(center.codim, len(k_ids), len(q_subset))
-            cls = centre_cls * fibre
+        for q_subset in q_subsets:
+            cls = centre_cls * fibres[len(q_subset)]
             if cls:
                 strata.append(Stratum(
                     {center.new_component_id} | q_subset | rest, cls))
@@ -277,15 +280,17 @@ class InvarianceReport:
 def check_invariance(model: NCModel, center: CenterSpec) -> InvarianceReport:
     """Blow up and compare the realizations exactly."""
     transformed = apply_blowup(model, center)
+    keyed_before = keyed_class(model)
+    keyed_after = keyed_class(transformed)
     return InvarianceReport(
         zeta_before=acampo_zeta(model),
         zeta_after=acampo_zeta(transformed),
         euler_before=milnor_fibre_euler(model),
         euler_after=milnor_fibre_euler(transformed),
-        absolute_before=naive_absolute_class(model),
-        absolute_after=naive_absolute_class(transformed),
-        keyed_before=keyed_class(model),
-        keyed_after=keyed_class(transformed),
+        absolute_before=absolute_from_keyed(keyed_before),
+        absolute_after=absolute_from_keyed(keyed_after),
+        keyed_before=keyed_before,
+        keyed_after=keyed_after,
     )
 
 

@@ -60,6 +60,14 @@ def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
             print(line)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True,
                    help='point as JSON {"base": [[re, im], ...], "polar": '
                         '[{"i": k, "r": value or "inf", "theta": [re, im]}]}')
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_monodromy_demo)
 
     p = sub.add_parser("examples", help="write a built-in example model")

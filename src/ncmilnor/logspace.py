@@ -157,6 +157,9 @@ class CplPoint:
                 f"base has {len(self.base)} coordinates, chart dim is {self.chart.chart.dim}")
         if not self.polar:
             raise LogspaceError("a log point must sit on at least one divisor coordinate")
+        for coord, z in enumerate(self.base):
+            if not cmath.isfinite(z):
+                raise LogspaceError(f"base coordinate {coord} is not finite")
         seen = set()
         for coord, pc in self.polar:
             if coord not in divisor:
@@ -166,7 +169,8 @@ class CplPoint:
                 raise LogspaceError(f"base coordinate {coord} must be exactly zero")
             if not pc.radius > 0:
                 raise LogspaceError(f"radius at coordinate {coord} must be positive")
-            if abs(abs(pc.phase) - 1.0) > PHASE_TOL:
+            # written so that a NaN phase fails too
+            if not abs(abs(pc.phase) - 1.0) <= PHASE_TOL:
                 raise LogspaceError(f"phase at coordinate {coord} is not unit modulus")
         for coord in divisor:
             if coord not in seen and self.base[coord] == 0:
@@ -306,7 +310,7 @@ def recover_multiplicities(
     multiplicities and the unit's phase.
     """
     if samples_per_loop < 8:
-        raise ValueError("samples_per_loop must be at least 8")
+        raise LogspaceError(f"samples_per_loop must be at least 8, got {samples_per_loop}")
     windings = []
     for slot in range(arity):
         total = 0.0
@@ -529,9 +533,9 @@ class FibreSample:
 def sigma_log_fibre_point(downstairs_phase: complex, w: complex, rho: float) -> FibreSample:
     """Decode a half-sphere coordinate into the fibre point over the given
     boundary phase."""
-    if abs(abs(downstairs_phase) - 1.0) > PHASE_TOL:
+    if not abs(abs(downstairs_phase) - 1.0) <= PHASE_TOL:
         raise LogspaceError("downstairs phase must be unit modulus")
-    if rho < 0 or abs(abs(w) ** 2 + rho**2 - 1.0) > 1e-9:
+    if not (rho >= 0 and abs(abs(w) ** 2 + rho**2 - 1.0) <= 1e-9):
         raise LogspaceError("(w, rho) must lie on the unit half-sphere")
     theta = downstairs_phase
     if rho > 0:

@@ -18,6 +18,15 @@ realizations of it that the package can compare exactly:
   relations (which this representation deliberately does not implement)
   would identify the results.  Treat it as a diagnostic.
 
+  Each keyed piece is an absolute term divided by one factor of (L-1), so
+
+      absolute = (L-1) * sum over keys of keyed[key]
+
+  is a ring identity.  Z[L] normal forms are canonical, so
+  ``absolute_from_keyed`` computes the absolute class from the keyed one
+  with identical coefficients, and a caller that needs both makes one pass
+  over the strata.
+
 * ``acampo_zeta`` / ``milnor_fibre_euler``: the monodromy zeta factorization
   prod_i (1 - t^(N_i))^(chi_i) over components, with chi_i the Euler number
   of the open stratum of component i, and the matching Euler characteristic
@@ -61,40 +70,46 @@ class PsiData:
     bezout: tuple[int, ...]
 
 
-def _sorted_subsets(model: NCModel) -> list[tuple[str, ...]]:
-    return sorted(tuple(sorted(s.components)) for s in model.strata)
-
-
 def motivic_terms(model: NCModel) -> list[MotivicTerm]:
     """One term per present stratum, in sorted subset order."""
     require_valid(model)
     terms = []
-    for subset in _sorted_subsets(model):
+    for stratum in model.strata:
+        subset = tuple(sorted(stratum.components))
         size = len(subset)
         terms.append(MotivicTerm(
             subset=subset,
             sign=-1 if size % 2 == 0 else 1,
             gcd_key=gcd(*(model.multiplicity(cid) for cid in subset)),
-            stratum_cls=model.stratum_class(subset),
+            stratum_cls=stratum.cls,
             torus_exponent=size - 1,
         ))
+    terms.sort(key=lambda term: term.subset)
     return terms
 
 
 def naive_absolute_class(model: NCModel) -> LefschetzPoly:
     """sum (-1)^(|J|+1) [stratum_J] (L-1)^|J|, the class of the motivic part
     with the torus action forgotten.  Invariant under valid blow-ups."""
+    return absolute_from_keyed(keyed_class(model))
+
+
+def absolute_from_keyed(keyed: KeyedClass) -> LefschetzPoly:
+    """The absolute class (L-1) * sum of the keyed pieces; see the module note."""
     total = LefschetzPoly.zero()
-    for term in motivic_terms(model):
-        total = total + term.sign * term.stratum_cls * _L_MINUS_ONE ** (term.torus_exponent + 1)
-    return total
+    for _, piece in keyed:
+        total = total + piece
+    return _L_MINUS_ONE * total
 
 
 def keyed_class(model: NCModel) -> KeyedClass:
     """Group terms by monodromy order; see the module note on non-invariance."""
     entries: dict[int, LefschetzPoly] = {}
+    torus_powers = [LefschetzPoly.one()]  # (L-1)^k at index k
     for term in motivic_terms(model):
-        piece = term.sign * term.stratum_cls * _L_MINUS_ONE**term.torus_exponent
+        while len(torus_powers) <= term.torus_exponent:
+            torus_powers.append(torus_powers[-1] * _L_MINUS_ONE)
+        piece = term.sign * term.stratum_cls * torus_powers[term.torus_exponent]
         entries[term.gcd_key] = entries.get(term.gcd_key, LefschetzPoly.zero()) + piece
     return KeyedClass(entries)
 
@@ -160,7 +175,8 @@ def psi_data(model: NCModel, subset: Iterable[str]) -> PsiData:
     """Bezout trivialization data for a present stratum, in sorted id order."""
     require_valid(model)
     key = frozenset(subset)
-    if key not in model.present_subsets():
+    # a valid model stores no zero class, so zero means absent
+    if model.stratum_class(key).is_zero:
         raise UnknownStratumError(
             f"no stratum on {{{', '.join(sorted(key))}}} in the model")
     ordered = tuple(sorted(key))

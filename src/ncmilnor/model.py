@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .ring import LefschetzPoly
+from .ring import ZERO, LefschetzPoly
 
 GLOBAL = "global"
 LOCAL = "local"
@@ -179,6 +179,17 @@ class Chart:
 
 @dataclass(frozen=True)
 class NCModel:
+    """Components, strata and charts of a normal-crossing model.
+
+    The instance is immutable, so its lookups are indexed once, at
+    construction: ``multiplicity`` and ``stratum_class`` are dict lookups.
+    Where an invalid model repeats a component id or a stratum subset, the
+    first entry wins.  Validity is memoised too: ``require_valid`` runs
+    ``validate`` on the first call for an instance and reuses its verdict,
+    failure included, on every later call.  Equality compares the five
+    fields only.
+    """
+
     ambient_dim: int
     mode: str
     components: tuple[Component, ...]
@@ -192,6 +203,16 @@ class NCModel:
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "strata", tuple(strata))
         object.__setattr__(self, "charts", tuple(charts))
+        multiplicities: dict[str, int] = {}
+        for c in self.components:
+            multiplicities.setdefault(c.id, c.multiplicity)
+        classes: dict[frozenset[str], LefschetzPoly] = {}
+        for s in self.strata:
+            classes.setdefault(s.components, s.cls)
+        object.__setattr__(self, "_multiplicities", multiplicities)
+        object.__setattr__(self, "_classes", classes)
+        # violations found by the first require_valid call; None until then
+        object.__setattr__(self, "_violations", None)
 
     # -- lookups
 
@@ -199,21 +220,14 @@ class NCModel:
         return tuple(c.id for c in self.components)
 
     def multiplicity(self, component_id: str) -> int:
-        for c in self.components:
-            if c.id == component_id:
-                return c.multiplicity
-        raise UnknownComponentError(f"unknown component id {component_id!r}")
+        try:
+            return self._multiplicities[component_id]
+        except KeyError:
+            raise UnknownComponentError(f"unknown component id {component_id!r}") from None
 
     def stratum_class(self, subset: Iterable[str]) -> LefschetzPoly:
         """Class of the stratum on exactly ``subset``; zero when absent."""
-        key = frozenset(subset)
-        for s in self.strata:
-            if s.components == key:
-                return s.cls
-        return LefschetzPoly.zero()
-
-    def present_subsets(self) -> tuple[frozenset[str], ...]:
-        return tuple(s.components for s in self.strata)
+        return self._classes.get(frozenset(subset), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +291,12 @@ def validate(model: NCModel) -> list[Violation]:
 
 
 def require_valid(model: NCModel) -> NCModel:
-    violations = validate(model)
+    """Return ``model`` if it is valid, else raise ``InvalidModelError``.
+    ``validate`` runs once per instance; later calls reuse its result."""
+    violations = model._violations
+    if violations is None:
+        violations = tuple(validate(model))
+        object.__setattr__(model, "_violations", violations)
     if violations:
         raise InvalidModelError(violations)
     return model

@@ -255,7 +255,47 @@ class TestRandomCorpusInvariance:
             model, center = random_model_and_center(rng)
             report = check_invariance(model, center)
             assert report.all_invariant, (trial, model, center)
-            assert validate(apply_blowup(model, center)) == []
+            blown = apply_blowup(model, center)
+            assert validate(blown) == []
+            # the report derives the absolute class from the keyed one
+            assert report.absolute_before == direct_absolute_class(model), trial
+            assert report.absolute_after == direct_absolute_class(blown), trial
+
+
+def direct_absolute_class(model):
+    """sum (-1)^(|J|+1) [stratum_J] (L-1)^|J|, term by term."""
+    total = LefschetzPoly.zero()
+    for stratum in model.strata:
+        size = len(stratum.components)
+        total = total + (-1) ** (size + 1) * stratum.cls * LM1**size
+    return total
+
+
+def arrangement(n):
+    """The n coordinate hyperplanes of C^n with multiplicities 1..n: the
+    open stratum on J is a torus of dimension n - |J|."""
+    ids = [f"x{i}" for i in range(n)]
+    strata = [
+        Stratum(subset, LM1 ** (n - size))
+        for size in range(1, n + 1)
+        for subset in itertools.combinations(ids, size)
+    ]
+    return NCModel(n, "global", [Component(cid, i + 1) for i, cid in enumerate(ids)], strata)
+
+
+class TestValidateOnce:
+    def test_check_invariance_validates_each_model_once(self, monkeypatch):
+        seen = []
+
+        def counting(model):
+            seen.append(model)
+            return validate(model)
+
+        monkeypatch.setattr("ncmilnor.model.validate", counting)
+        report = check_invariance(arrangement(4), point_center(["x0", "x1"], codim=4))
+        assert report.all_invariant
+        assert len(seen) <= 2
+        assert len({id(m) for m in seen}) == len(seen)
 
 
 def random_model_and_center(rng):

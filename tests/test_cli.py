@@ -23,6 +23,11 @@ def origin_path(tmp_path):
     return str(path)
 
 
+XY_POINT = {"base": [[0, 0], [0, 0]],
+            "polar": [{"i": 0, "r": 1.0, "theta": [1.0, 0.0]},
+                      {"i": 1, "r": 1.0, "theta": [0.0, 1.0]}]}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -180,6 +185,26 @@ class TestNumericCommands:
         path.write_text(save_model(builtin_example("xy")))
         code, _, err = run(capsys, "recover", str(path), "--point", "[[0,0]]")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["monodromy-demo", "--point", json.dumps(XY_POINT), "--steps", "0"],
+        ["monodromy-demo", "--point", json.dumps(XY_POINT), "--steps", "-1"],
+        ["recover", "--point", "[[0,0],[0,0]]", "--samples", "4"],
+        ["monodromy-demo", "--point",
+         json.dumps(XY_POINT).replace("[1.0, 0.0]", "[NaN, 0.0]", 1)],
+        ["recover", "--point", "[[NaN,0],[0,0]]"],
+    ], ids=["steps-0", "steps-negative", "samples-4", "nan-phase", "nan-base"])
+    def test_out_of_range_input_exits_2(self, capsys, xy_path, argv):
+        # exit 1 is reserved for a computed inequality
+        try:
+            code = main([argv[0], xy_path, *argv[1:]])
+        except SystemExit as exc:  # argparse rejects bad flag values this way
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestExamples:

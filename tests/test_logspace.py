@@ -74,6 +74,18 @@ class TestPoints:
         with pytest.raises(LogspaceError, match="no polar data"):
             CplPoint(ctx, (0, 0), {0: PolarCoord(1.0, 1)})
 
+    def test_non_finite_input_rejected(self):
+        ctx = ctx_for("xy")
+        nan = float("nan")
+        with pytest.raises(LogspaceError, match="unit modulus"):
+            CplPoint(ctx, (0, 0), {0: PolarCoord(1.0, complex(nan, 0)), 1: PolarCoord(1.0, 1)})
+        with pytest.raises(LogspaceError, match="positive"):
+            CplPoint(ctx, (0, 0), {0: PolarCoord(nan, 1), 1: PolarCoord(1.0, 1)})
+        with pytest.raises(LogspaceError, match="not finite"):
+            CplPoint(ctx, (nan, 0), {1: PolarCoord(1.0, 1)})
+        # the boundary circle is the one infinite value a point may hold
+        assert classify(make_xy_point(r1=INF)).tag == "mixed"
+
     def test_classify(self):
         assert classify(make_xy_point()).tag == "mot"
         assert classify(make_xy_point(r1=INF, r2=INF)).tag == "top"

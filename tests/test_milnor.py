@@ -1,5 +1,7 @@
 """Motivic term sums and their realizations on the built-in models."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,8 @@ from ncmilnor.model import (
     Stratum,
     UnknownStratumError,
     builtin_example,
+    load_model,
+    save_model,
 )
 from ncmilnor.ring import KeyedClass, LefschetzPoly, ZetaFactorization, euler_realization
 
@@ -92,6 +96,19 @@ class TestKeyedClass:
             for _, entry in keyed_class(model):
                 total = total + entry * LM1
             assert total == naive_absolute_class(model)
+
+
+class TestInvalidModel:
+    def test_duplicate_subset_rejected_on_every_call(self):
+        doc = json.loads(save_model(builtin_example("xy")))
+        doc["strata"].append({"components": ["x", "y"], "class": [1]})
+        model = load_model(json.dumps(doc), check=False)
+        # validity is memoised per instance: the failure must be too
+        for realization in (naive_absolute_class, keyed_class, acampo_zeta,
+                            milnor_fibre_euler):
+            for _ in range(2):
+                with pytest.raises(InvalidModelError, match="duplicate stratum subset"):
+                    realization(model)
 
 
 class TestZetaAndEuler:

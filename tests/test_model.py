@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from ncmilnor.milnor import naive_absolute_class
 from ncmilnor.model import (
     Chart,
     Component,
@@ -25,6 +26,7 @@ from ncmilnor.model import (
 from ncmilnor.ring import LefschetzPoly, euler_realization
 
 ONE = LefschetzPoly.one()
+LM1 = LefschetzPoly((-1, 1))
 
 
 def xy_model():
@@ -189,35 +191,80 @@ class TestDocuments:
             load_model(json.dumps(doc))
 
 
+@st.composite
+def valid_models(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    ids = draw(st.lists(
+        st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=4,
+        unique=True))
+    components = [
+        Component(cid, draw(st.integers(min_value=1, max_value=9)))
+        for cid in ids
+    ]
+    strata = []
+    seen = set()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        subset = frozenset(draw(st.lists(
+            st.sampled_from(ids), min_size=1, max_size=min(n, len(ids)),
+            unique=True)))
+        if subset in seen:
+            continue
+        seen.add(subset)
+        bound = n - len(subset)
+        coeffs = draw(st.lists(
+            st.integers(min_value=-5, max_value=5), max_size=bound))
+        coeffs.append(draw(st.integers(min_value=1, max_value=5)))
+        strata.append(Stratum(subset, LefschetzPoly(coeffs)))
+    return NCModel(n, draw(st.sampled_from(("global", "local"))), components, strata)
+
+
 class TestRandomRoundTrip:
-    @given(st.data())
-    def test_random_models_round_trip(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=4))
-        ids = data.draw(st.lists(
-            st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=4,
-            unique=True))
-        components = [
-            Component(cid, data.draw(st.integers(min_value=1, max_value=9)))
-            for cid in ids
-        ]
-        strata = []
-        seen = set()
-        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
-            subset = frozenset(data.draw(st.lists(
-                st.sampled_from(ids), min_size=1, max_size=min(n, len(ids)),
-                unique=True)))
-            if subset in seen:
-                continue
-            seen.add(subset)
-            bound = n - len(subset)
-            coeffs = data.draw(st.lists(
-                st.integers(min_value=-5, max_value=5), max_size=bound))
-            coeffs.append(data.draw(st.integers(min_value=1, max_value=5)))
-            strata.append(Stratum(subset, LefschetzPoly(coeffs)))
-        model = NCModel(n, data.draw(st.sampled_from(("global", "local"))),
-                        components, strata)
+    @given(valid_models())
+    def test_random_models_round_trip(self, model):
         assert validate(model) == []
         assert load_model(save_model(model)) == model
+
+
+def scan_class(model, subset):
+    for stratum in model.strata:
+        if stratum.components == frozenset(subset):
+            return stratum.cls
+    return LefschetzPoly.zero()
+
+
+def scan_multiplicity(model, component_id):
+    for comp in model.components:
+        if comp.id == component_id:
+            return comp.multiplicity
+    return None
+
+
+class TestIndexedLookups:
+    @given(valid_models())
+    def test_lookups_agree_with_linear_scan(self, model):
+        ids = sorted(model.component_ids())
+        for mask in range(1, 2 ** len(ids)):
+            subset = {cid for i, cid in enumerate(ids) if mask >> i & 1}
+            assert model.stratum_class(subset) == scan_class(model, subset)
+        for cid in ids:
+            assert model.multiplicity(cid) == scan_multiplicity(model, cid)
+        with pytest.raises(UnknownComponentError):
+            model.multiplicity("ghost")
+
+    @given(valid_models())
+    def test_absolute_class_is_the_direct_sum(self, model):
+        # independent of the keyed route naive_absolute_class takes
+        direct = LefschetzPoly.zero()
+        for stratum in model.strata:
+            size = len(stratum.components)
+            direct = direct + (-1) ** (size + 1) * stratum.cls * LM1**size
+        assert naive_absolute_class(model) == direct
+
+    def test_first_duplicate_wins(self):
+        m = NCModel(2, "global", [Component("x", 2), Component("x", 5)],
+                    [Stratum({"x"}, ONE), Stratum({"x"}, LefschetzPoly((0, 1)))])
+        assert m.multiplicity("x") == 2
+        assert m.stratum_class({"x"}) == ONE
 
 
 class TestBuiltins:
