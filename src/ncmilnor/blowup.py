@@ -232,8 +232,10 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
     fibres = [exceptional_fibre_strata(center.codim, len(k_ids), size)
               for size in range(len(k_ids) + 1)]
     for rest, centre_cls in sorted(center.center_strata.items(), key=lambda kv: sorted(kv[0])):
+        # so is the exceptional class: one product per (R, |Q|)
+        pieces = [centre_cls * fibre for fibre in fibres]
         for q_subset in q_subsets:
-            cls = centre_cls * fibres[len(q_subset)]
+            cls = pieces[len(q_subset)]
             if cls:
                 strata.append(Stratum(
                     {center.new_component_id} | q_subset | rest, cls))

@@ -28,11 +28,11 @@ from .logspace import (
     simplex_representative,
 )
 from .milnor import (
+    absolute_from_keyed,
     acampo_zeta,
     keyed_class,
     milnor_fibre_euler,
     motivic_terms,
-    naive_absolute_class,
 )
 from .model import (
     BUILTIN_NAMES,
@@ -125,7 +125,7 @@ def _cmd_motivic(args) -> int:
     model = _read_model(args.model)
     terms = motivic_terms(model)
     keyed = keyed_class(model)
-    absolute = naive_absolute_class(model)
+    absolute = absolute_from_keyed(keyed)
     payload = {
         "command": "motivic",
         "terms": [

@@ -18,6 +18,18 @@ realizations of it that the package can compare exactly:
   relations (which this representation deliberately does not implement)
   would identify the results.  Treat it as a diagnostic.
 
+  Sign and torus factor depend on |J| only, and the key on the
+  multiplicities only, so by distributivity
+
+      keyed[order] = sum over sizes s of
+                     (-1)^(s+1) * (L-1)^(s-1) * sum of [stratum_J]
+                     over J with |J| = s and gcd(N_i, i in J) = order.
+
+  ``keyed_class`` adds the stratum classes of each (order, |J|) bucket
+  first and multiplies once per bucket, so its per-stratum work is a gcd
+  and an addition.  The sums are exact, so the result equals the
+  term-by-term one.
+
   Each keyed piece is an absolute term divided by one factor of (L-1), so
 
       absolute = (L-1) * sum over keys of keyed[key]
@@ -44,7 +56,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .model import NCModel, UnknownStratumError, require_valid
-from .ring import KeyedClass, LefschetzPoly, ZetaFactorization, euler_realization
+from .ring import ONE, ZERO, KeyedClass, LefschetzPoly, ZetaFactorization, euler_realization
 
 _L_MINUS_ONE = LefschetzPoly((-1, 1))
 
@@ -103,14 +115,23 @@ def absolute_from_keyed(keyed: KeyedClass) -> LefschetzPoly:
 
 
 def keyed_class(model: NCModel) -> KeyedClass:
-    """Group terms by monodromy order; see the module note on non-invariance."""
+    """Group terms by monodromy order; see the module note on non-invariance
+    and on the (order, |J|) buckets."""
+    require_valid(model)
+    sums: dict[tuple[int, int], LefschetzPoly] = {}
+    for stratum in model.strata:
+        ids = stratum.components
+        bucket = (gcd(*(model.multiplicity(cid) for cid in ids)), len(ids))
+        sums[bucket] = sums.get(bucket, ZERO) + stratum.cls
     entries: dict[int, LefschetzPoly] = {}
-    torus_powers = [LefschetzPoly.one()]  # (L-1)^k at index k
-    for term in motivic_terms(model):
-        while len(torus_powers) <= term.torus_exponent:
+    torus_powers = [ONE]  # (L-1)^k at index k
+    for (order, size), total in sums.items():
+        while len(torus_powers) < size:
             torus_powers.append(torus_powers[-1] * _L_MINUS_ONE)
-        piece = term.sign * term.stratum_cls * torus_powers[term.torus_exponent]
-        entries[term.gcd_key] = entries.get(term.gcd_key, LefschetzPoly.zero()) + piece
+        piece = total * torus_powers[size - 1]
+        previous = entries.get(order, ZERO)
+        # sign (-1)^(|J|+1)
+        entries[order] = previous + piece if size % 2 else previous - piece
     return KeyedClass(entries)
 
 

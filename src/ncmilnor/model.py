@@ -34,6 +34,11 @@ from .ring import ZERO, LefschetzPoly
 GLOBAL = "global"
 LOCAL = "local"
 
+#: Largest accepted ``ambient_dim``.  Class degrees, stratum sizes and
+#: blow-up codimensions are bounded by the ambient dimension, so this one
+#: limit bounds every dense class the package builds from a document.
+MAX_AMBIENT_DIM = 4096
+
 
 class ModelError(ValueError):
     """Base class for model construction and I/O errors."""
@@ -238,6 +243,9 @@ def validate(model: NCModel) -> list[Violation]:
     out: list[Violation] = []
     if model.ambient_dim < 1:
         out.append(Violation("ambient_dim", f"must be positive, got {model.ambient_dim}"))
+    elif model.ambient_dim > MAX_AMBIENT_DIM:
+        out.append(Violation(
+            "ambient_dim", f"must be at most {MAX_AMBIENT_DIM}, got {model.ambient_dim}"))
     if model.mode not in (GLOBAL, LOCAL):
         out.append(Violation("mode", f"must be 'global' or 'local', got {model.mode!r}"))
 
@@ -254,26 +262,29 @@ def validate(model: NCModel) -> list[Violation]:
 
     seen_subsets: set[frozenset[str]] = set()
     for idx, stratum in enumerate(model.strata):
-        where = f"strata[{idx}] ({{{', '.join(sorted(stratum.components))}}})"
-        if not stratum.components:
-            out.append(Violation(where, "stratum subset must be nonempty"))
-        if stratum.components in seen_subsets:
-            out.append(Violation(where, "duplicate stratum subset"))
-        seen_subsets.add(stratum.components)
-        unknown = stratum.components - seen_ids
+        ids = stratum.components
+        problems: list[str] = []
+        if not ids:
+            problems.append("stratum subset must be nonempty")
+        if ids in seen_subsets:
+            problems.append("duplicate stratum subset")
+        seen_subsets.add(ids)
+        unknown = ids - seen_ids
         if unknown:
-            out.append(Violation(where, f"unknown component ids {sorted(unknown)}"))
-        if len(stratum.components) > model.ambient_dim:
-            out.append(Violation(
-                where, f"|J| = {len(stratum.components)} exceeds ambient_dim {model.ambient_dim}"))
+            problems.append(f"unknown component ids {sorted(unknown)}")
+        if len(ids) > model.ambient_dim:
+            problems.append(f"|J| = {len(ids)} exceeds ambient_dim {model.ambient_dim}")
         if stratum.cls.is_zero:
-            out.append(Violation(where, "empty stratum must be omitted, not stored with class 0"))
+            problems.append("empty stratum must be omitted, not stored with class 0")
         else:
-            bound = model.ambient_dim - len(stratum.components)
+            bound = model.ambient_dim - len(ids)
             if stratum.cls.degree > bound:
-                out.append(Violation(
-                    where,
-                    f"class degree {stratum.cls.degree} exceeds dimension bound {bound}"))
+                problems.append(
+                    f"class degree {stratum.cls.degree} exceeds dimension bound {bound}")
+        if problems:
+            # the locator sorts the ids, so it is built for failing strata only
+            where = f"strata[{idx}] ({{{', '.join(sorted(ids))}}})"
+            out.extend(Violation(where, problem) for problem in problems)
 
     for idx, chart in enumerate(model.charts):
         where = f"charts[{idx}]"

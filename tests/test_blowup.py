@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from ncmilnor import ring
 from ncmilnor.blowup import (
     CenterSpec,
     apply_blowup,
@@ -17,6 +18,7 @@ from ncmilnor.blowup import (
     telescoping_check,
     validate_center,
 )
+from ncmilnor.milnor import keyed_class, motivic_terms
 from ncmilnor.model import (
     Component,
     InvalidModelError,
@@ -261,6 +263,40 @@ class TestRandomCorpusInvariance:
             assert report.absolute_before == direct_absolute_class(model), trial
             assert report.absolute_after == direct_absolute_class(blown), trial
 
+    @pytest.mark.filterwarnings("ignore:stratum .*negative leading coefficient")
+    def test_added_strata_and_keyed_class_term_by_term(self):
+        # apply_blowup and keyed_class multiply once per bucket; the oracles
+        # here multiply once per (R, Q) and once per stratum
+        import random
+
+        rng = random.Random(99)
+        for trial in range(150):
+            model, center = random_model_and_center(rng)
+            blown = apply_blowup(model, center)
+            k_ids = sorted(center.containing)
+            expected = {}
+            for rest, centre_cls in center.center_strata.items():
+                for size in range(len(k_ids) + 1):
+                    for q_subset in itertools.combinations(k_ids, size):
+                        cls = centre_cls * exceptional_fibre_strata(
+                            center.codim, len(k_ids), size)
+                        if cls:
+                            expected[frozenset({center.new_component_id, *q_subset}) | rest] = cls
+            added = {s.components: s.cls for s in blown.strata
+                     if center.new_component_id in s.components}
+            assert added == expected, trial
+            assert keyed_class(model) == grouped_term_sum(model), trial
+            assert keyed_class(blown) == grouped_term_sum(blown), trial
+
+
+def grouped_term_sum(model):
+    """sum of sign * [stratum] * (L-1)^torus_exponent per gcd_key, term by term."""
+    entries = {}
+    for term in motivic_terms(model):
+        piece = term.sign * term.stratum_cls * LM1**term.torus_exponent
+        entries[term.gcd_key] = entries.get(term.gcd_key, LefschetzPoly.zero()) + piece
+    return KeyedClass(entries)
+
 
 def direct_absolute_class(model):
     """sum (-1)^(|J|+1) [stratum_J] (L-1)^|J|, term by term."""
@@ -296,6 +332,44 @@ class TestValidateOnce:
         assert report.all_invariant
         assert len(seen) <= 2
         assert len({id(m) for m in seen}) == len(seen)
+
+
+def count_products(monkeypatch, fn, *args):
+    """Call ``fn`` and count the coefficient-list products it makes."""
+    calls = []
+    real = ring._mul
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "_mul", counting)
+    result = fn(*args)
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+class TestProductCounts:
+    """Counts, not times: the per-stratum loops add, and ring products are
+    made once per bucket."""
+
+    def test_keyed_class_fewer_products_than_strata(self, monkeypatch):
+        model = arrangement(8)
+        keyed, products = count_products(monkeypatch, keyed_class, model)
+        assert keyed == grouped_term_sum(model)
+        assert products < len(model.strata) == 255
+
+    def test_apply_blowup_fewer_products_than_added_strata(self, monkeypatch):
+        # the coordinate 2-plane of H_8 cut out by |K| = 6 hyperplanes, with
+        # one centre piece per transverse subset of {x6, x7}
+        model = arrangement(8)
+        pieces = {frozenset(r): LM1 ** (2 - len(r))
+                  for r in ((), ("x6",), ("x7",), ("x6", "x7"))}
+        center = CenterSpec([f"x{i}" for i in range(6)], ("x6", "x7"), 6, pieces, "E")
+        blown, products = count_products(monkeypatch, apply_blowup, model, center)
+        added = sum("E" in s.components for s in blown.strata)
+        assert added == 4 * (2**6 - 1)
+        assert products < added
 
 
 def random_model_and_center(rng):

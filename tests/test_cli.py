@@ -6,7 +6,10 @@ import pytest
 
 from ncmilnor.cli import main
 from ncmilnor.blowup import point_center, save_center
+from ncmilnor.milnor import naive_absolute_class
 from ncmilnor.model import builtin_example, load_model, save_model, validate
+
+BUILTINS = ("smooth", "xy", "cusp_resolved", "power_3", "xa_yb_2_3")
 
 
 @pytest.fixture
@@ -96,6 +99,15 @@ class TestReports:
         assert payload["absolute"] == [-1, 2, -1]
         assert payload["keyed"] == {"1": [1, -1]}
 
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_motivic_absolute_matches_naive_class(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(save_model(builtin_example(name)))
+        code, out, _ = run(capsys, "--json", "motivic", str(path))
+        assert code == 0
+        expected = naive_absolute_class(builtin_example(name))
+        assert json.loads(out)["absolute"] == list(expected.coeffs)
+
     def test_determinism(self, capsys, xy_path):
         _, first, _ = run(capsys, "motivic", xy_path)
         _, second, _ = run(capsys, "motivic", xy_path)
@@ -150,6 +162,23 @@ class TestBlowupFlow:
         code, out, _ = run(capsys, "invariance", str(model_path), "--center", str(center_path))
         assert code == 0
         assert "all realizations equal" in out
+
+    def test_ambient_dim_over_limit_exits_2(self, capsys, tmp_path):
+        # a point centre of codim ambient_dim would need a class with
+        # ambient_dim coefficients; the model is rejected before that
+        model_path = tmp_path / "huge.json"
+        model_path.write_text(json.dumps({
+            "ambient_dim": 10**6, "mode": "local",
+            "components": [{"id": "x", "multiplicity": 1}],
+            "strata": [{"components": ["x"], "class": [1]}]}))
+        center_path = tmp_path / "point.json"
+        center_path.write_text(save_center(point_center(["x"], codim=10**6)))
+        code, out, err = run(capsys, "invariance", str(model_path),
+                             "--center", str(center_path))
+        assert code == 2
+        assert "error: ambient_dim: must be at most 4096, got 1000000" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_center_outside_tracked_locus(self, capsys, tmp_path, xy_path):
         center_path = tmp_path / "offside.json"
@@ -209,7 +238,7 @@ class TestNumericCommands:
 
 class TestExamples:
     def test_every_builtin_written_file_validates(self, capsys, tmp_path):
-        for name in ("smooth", "xy", "cusp_resolved", "power_3", "xa_yb_2_3"):
+        for name in BUILTINS:
             out_path = tmp_path / f"{name}.json"
             code, _, _ = run(capsys, "examples", "--name", name, "--out", str(out_path))
             assert code == 0

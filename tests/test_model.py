@@ -5,8 +5,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from ncmilnor.milnor import naive_absolute_class
+from ncmilnor.milnor import keyed_class, motivic_terms, naive_absolute_class
 from ncmilnor.model import (
+    MAX_AMBIENT_DIM,
     Chart,
     Component,
     InvalidModelError,
@@ -23,7 +24,7 @@ from ncmilnor.model import (
     save_model,
     validate,
 )
-from ncmilnor.ring import LefschetzPoly, euler_realization
+from ncmilnor.ring import KeyedClass, LefschetzPoly, euler_realization
 
 ONE = LefschetzPoly.one()
 LM1 = LefschetzPoly((-1, 1))
@@ -71,6 +72,30 @@ class TestValidate:
         m = NCModel(1, "global", [Component("x", 1), Component("y", 1)],
                     [Stratum({"x", "y"}, ONE)])
         assert any("exceeds ambient_dim" in v.problem for v in validate(m))
+
+    def test_ambient_dim_limit(self):
+        assert MAX_AMBIENT_DIM == 4096
+        at_limit = NCModel(4096, "global", [Component("x", 1)], [Stratum({"x"}, ONE)])
+        assert validate(at_limit) == []
+        over = NCModel(4097, "global", [Component("x", 1)], [Stratum({"x"}, ONE)])
+        assert [str(v) for v in validate(over)] == [
+            "ambient_dim: must be at most 4096, got 4097"]
+
+    def test_several_problems_on_one_stratum_in_order(self):
+        m = NCModel(1, "global", [Component("x", 1)], [
+            Stratum({"x"}, ONE),
+            Stratum({"x", "ghost"}, LefschetzPoly()),
+            Stratum({"ghost", "x"}, LefschetzPoly()),
+        ])
+        assert [str(v) for v in validate(m)] == [
+            "strata[1] ({ghost, x}): unknown component ids ['ghost']",
+            "strata[1] ({ghost, x}): |J| = 2 exceeds ambient_dim 1",
+            "strata[1] ({ghost, x}): empty stratum must be omitted, not stored with class 0",
+            "strata[2] ({ghost, x}): duplicate stratum subset",
+            "strata[2] ({ghost, x}): unknown component ids ['ghost']",
+            "strata[2] ({ghost, x}): |J| = 2 exceeds ambient_dim 1",
+            "strata[2] ({ghost, x}): empty stratum must be omitted, not stored with class 0",
+        ]
 
 
 class TestCensus:
@@ -239,6 +264,15 @@ def scan_multiplicity(model, component_id):
     return None
 
 
+def grouped_term_sum(model):
+    """sum of sign * [stratum] * (L-1)^torus_exponent per gcd_key, term by term."""
+    entries = {}
+    for term in motivic_terms(model):
+        piece = term.sign * term.stratum_cls * LM1**term.torus_exponent
+        entries[term.gcd_key] = entries.get(term.gcd_key, LefschetzPoly.zero()) + piece
+    return KeyedClass(entries)
+
+
 class TestIndexedLookups:
     @given(valid_models())
     def test_lookups_agree_with_linear_scan(self, model):
@@ -259,6 +293,11 @@ class TestIndexedLookups:
             size = len(stratum.components)
             direct = direct + (-1) ** (size + 1) * stratum.cls * LM1**size
         assert naive_absolute_class(model) == direct
+
+    @given(valid_models())
+    def test_keyed_class_is_the_grouped_term_sum(self, model):
+        # one product per term, against keyed_class's one per (order, |J|)
+        assert keyed_class(model) == grouped_term_sum(model)
 
     def test_first_duplicate_wins(self):
         m = NCModel(2, "global", [Component("x", 2), Component("x", 5)],
