@@ -19,7 +19,13 @@ stratum list is the empty stratum (class zero); explicit zero classes are
 rejected so that presence always means nonempty.
 
 The on-disk form is a strict JSON document (unknown fields rejected), see
-``load_model`` / ``save_model``.
+``load_model`` / ``save_model``.  Both run mostly at C speed on large
+documents.  ``save_model`` writes the indent=2 layout itself, and its bytes
+equal those of ``json.dumps(doc, indent=2)`` whenever every integer field is
+an exact ``int``.  ``load_model`` checks all strata in a few C-level passes,
+and only when one of them is malformed reruns the per-field checkers, so a
+malformed stratum gets the same message and locator as a per-stratum check
+would give it.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .ring import ZERO, LefschetzPoly
@@ -390,6 +397,15 @@ def closure_strata(model: NCModel, subset: Iterable[str]) -> set[frozenset[str]]
 # ---------------------------------------------------------------------------
 # JSON document form
 
+_encode_str = json.encoder.encode_basestring_ascii  # the encoder json.dumps uses
+_encode_int = int.__repr__  # as json.dumps does; repr(True) would be 'True'
+_PAD = tuple("\n" + "  " * depth for depth in range(7))  # indent=2, depth 0..6
+_SEP = tuple("," + pad for pad in _PAD)
+
+# the key set of a stratum item, comparable with the keys of any dict
+_STRATUM_KEYS = dict.fromkeys(("components", "class")).keys()
+
+
 def _fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -470,6 +486,22 @@ def _unit_from_json(value, where: str) -> UnitPoly:
         raise ModelParseError(str(exc), where=where) from None
 
 
+def _strata_well_formed(items: list) -> bool:
+    """Whether every stratum item passes ``require_keys``, ``id_list_field``
+    and ``class_field``, decided in C-level passes over the whole list.
+
+    Values from ``json.loads`` have exact types (a ``bool`` is never an
+    ``int`` here), so this is true exactly when the per-field checks pass."""
+    if not (set(map(type, items)) <= {dict}
+            and all(map(_STRATUM_KEYS.__eq__, map(dict.keys, items)))):
+        return False
+    ids = list(map(dict.__getitem__, items, repeat("components")))
+    classes = list(map(dict.__getitem__, items, repeat("class")))
+    return (set(map(type, ids)) <= {list} and set(map(type, classes)) <= {list}
+            and set(map(type, chain.from_iterable(ids))) <= {str}
+            and set(map(type, chain.from_iterable(classes))) <= {int})
+
+
 def load_model(text: str, check: bool = True) -> NCModel:
     """Parse a model document.  With ``check`` (the default), invariant
     violations raise ``InvalidModelError``; parse and schema problems raise
@@ -489,14 +521,18 @@ def load_model(text: str, check: bool = True) -> NCModel:
             raise ModelParseError("field 'id' must be a string", where=where)
         components.append(Component(item["id"], int_field(item, "multiplicity", where)))
 
-    strata = []
-    if not isinstance(doc["strata"], list):
+    items = doc["strata"]
+    if not isinstance(items, list):
         raise ModelParseError("field 'strata' must be a list", where="document")
-    for i, item in enumerate(doc["strata"]):
-        where = f"strata[{i}]"
-        require_keys(item, ("components", "class"), (), where)
-        strata.append(Stratum(id_list_field(item, "components", where),
-                              class_field(item["class"], where)))
+    if not _strata_well_formed(items):
+        # the per-field checkers raise at the first bad stratum, with its locator
+        for i, item in enumerate(items):
+            where = f"strata[{i}]"
+            require_keys(item, ("components", "class"), (), where)
+            id_list_field(item, "components", where)
+            class_field(item["class"], where)
+    strata = map(Stratum, map(dict.__getitem__, items, repeat("components")),
+                 map(LefschetzPoly, map(dict.__getitem__, items, repeat("class"))))
 
     charts = []
     for i, item in enumerate(doc.get("charts", [])):
@@ -526,34 +562,59 @@ def load_model(text: str, check: bool = True) -> NCModel:
     return model
 
 
+def _layout(encoded: Iterable[str], depth: int, brackets: str = "[]") -> str:
+    """Already-encoded items (array values, or ``"key": value`` members) in
+    the layout of ``json.dumps(indent=2)``, one per line, ``depth`` levels in."""
+    body = _SEP[depth].join(encoded)
+    if not body:  # no encoded item is the empty string
+        return brackets
+    return brackets[0] + _PAD[depth] + body + _PAD[depth - 1] + brackets[1]
+
+
+def _stratum_json(stratum: Stratum) -> str:
+    return _layout((
+        '"components": ' + _layout(map(_encode_str, sorted(stratum.components)), 4),
+        '"class": ' + _layout(map(_encode_int, stratum.cls.coeffs), 4),
+    ), 3, "{}")
+
+
+def _chart_json(chart: Chart) -> str:
+    coords = (f"{_encode_str(str(k))}: {_encode_str(v)}" for k, v in chart.divisor_coords)
+    terms = (
+        _layout((
+            '"re": ' + _encode_str(_fraction_to_str(re)),
+            '"im": ' + _encode_str(_fraction_to_str(im)),
+            '"exponents": ' + _layout(map(_encode_int, exponents), 6),
+        ), 5, "{}")
+        for exponents, (re, im) in sorted(chart.unit.terms.items())
+    )
+    return _layout((
+        '"dim": ' + _encode_int(chart.dim),
+        '"divisor_coords": ' + _layout(coords, 4, "{}"),
+        '"unit": ' + _layout(terms, 4),
+    ), 3, "{}")
+
+
 def save_model(model: NCModel) -> str:
-    """Serialize to the JSON document form; load(save(m)) == m bit-exactly."""
-    doc = {
-        "ambient_dim": model.ambient_dim,
-        "mode": model.mode,
-        "components": [{"id": c.id, "multiplicity": c.multiplicity} for c in model.components],
-        "strata": [
-            {"components": sorted(s.components), "class": list(s.cls.coeffs)}
-            for s in model.strata
-        ],
-    }
+    """Serialize to the JSON document form; load(save(m)) == m bit-exactly.
+
+    The text is written directly in the layout of ``json.dumps(doc,
+    indent=2)`` and equals it byte for byte whenever every integer field is
+    an exact ``int``; a ``bool`` in an integer field is written as ``1`` or
+    ``0``, so it reads back as the integer it stands for.  The keys are
+    ASCII names, so they are written already encoded."""
+    members = [
+        '"ambient_dim": ' + _encode_int(model.ambient_dim),
+        '"mode": ' + _encode_str(model.mode),
+        '"components": ' + _layout((
+            _layout(('"id": ' + _encode_str(c.id),
+                     '"multiplicity": ' + _encode_int(c.multiplicity)), 3, "{}")
+            for c in model.components), 2),
+        '"strata": ' + _layout(map(_stratum_json, model.strata), 2),
+    ]
     if model.charts:
-        doc["charts"] = [
-            {
-                "dim": chart.dim,
-                "divisor_coords": {str(k): v for k, v in chart.divisor_coords},
-                "unit": [
-                    {
-                        "re": _fraction_to_str(re),
-                        "im": _fraction_to_str(im),
-                        "exponents": list(exponents),
-                    }
-                    for exponents, (re, im) in sorted(chart.unit.terms.items())
-                ],
-            }
-            for chart in model.charts
-        ]
-    return json.dumps(doc, indent=2) + "\n"
+        members.append('"charts": ' + _layout(map(_chart_json, model.charts), 2))
+    return _layout(members, 1, "{}") + "\n"
 
 
 # ---------------------------------------------------------------------------

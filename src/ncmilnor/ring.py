@@ -69,12 +69,21 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def _pow(a: Sequence[int], n: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
+    """a^n by binary powering in bit_length(n) + popcount(n) - 2 products
+    (none for n <= 1): the result starts at the lowest set bit, and the
+    base is not squared past the highest."""
+    if n == 0:
+        return (1,)
     base = _trim(list(a))
+    while not n & 1:
+        base = _mul(base, base)
+        n >>= 1
+    result = base
+    n >>= 1
     while n:
+        base = _mul(base, base)
         if n & 1:
             result = _mul(result, base)
-        base = _mul(base, base)
         n >>= 1
     return result
 

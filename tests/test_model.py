@@ -1,10 +1,13 @@
 """Model validation, census, closure poset, document round trips, builtins."""
 
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ncmilnor.blowup import CenterSpec, apply_blowup, point_center
 from ncmilnor.milnor import keyed_class, motivic_terms, naive_absolute_class
 from ncmilnor.model import (
     MAX_AMBIENT_DIM,
@@ -216,12 +219,31 @@ class TestDocuments:
             load_model(json.dumps(doc))
 
 
+# ids exercise the string encoder: quotes, backslashes, control and
+# non-ASCII characters (astral ones need surrogate-pair escapes)
+ids_text = st.text(
+    st.one_of(st.sampled_from('abcxyz"\\/\x00\x1f\x7f\u00e9\u2603\U0001d11e'),
+              st.characters()),
+    min_size=1, max_size=3)
+fractions = st.fractions(max_denominator=12)
+
+
+@st.composite
+def charts(draw, dim_bound, ids):
+    dim = draw(st.integers(min_value=1, max_value=dim_bound))
+    coords = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=dim - 1), st.sampled_from(ids), max_size=dim))
+    # empty unit lists and empty exponent tuples (constant terms) included
+    unit = draw(st.dictionaries(
+        st.lists(st.integers(min_value=0, max_value=3), max_size=dim).map(tuple),
+        st.tuples(fractions, fractions), max_size=3))
+    return Chart(dim, coords, UnitPoly(unit))
+
+
 @st.composite
 def valid_models(draw):
     n = draw(st.integers(min_value=1, max_value=4))
-    ids = draw(st.lists(
-        st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=4,
-        unique=True))
+    ids = draw(st.lists(ids_text, min_size=1, max_size=4, unique=True))
     components = [
         Component(cid, draw(st.integers(min_value=1, max_value=9)))
         for cid in ids
@@ -240,7 +262,75 @@ def valid_models(draw):
             st.integers(min_value=-5, max_value=5), max_size=bound))
         coeffs.append(draw(st.integers(min_value=1, max_value=5)))
         strata.append(Stratum(subset, LefschetzPoly(coeffs)))
-    return NCModel(n, draw(st.sampled_from(("global", "local"))), components, strata)
+    chart_list = draw(st.lists(charts(n + 1, ids), max_size=2))
+    return NCModel(n, draw(st.sampled_from(("global", "local"))), components, strata,
+                   chart_list)
+
+
+def fraction_text(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def reference_doc(model):
+    """The dict ``save_model`` once handed to ``json.dumps(indent=2)``."""
+    doc = {
+        "ambient_dim": model.ambient_dim,
+        "mode": model.mode,
+        "components": [{"id": c.id, "multiplicity": c.multiplicity} for c in model.components],
+        "strata": [
+            {"components": sorted(s.components), "class": list(s.cls.coeffs)}
+            for s in model.strata
+        ],
+    }
+    if model.charts:
+        doc["charts"] = [
+            {
+                "dim": chart.dim,
+                "divisor_coords": {str(k): v for k, v in chart.divisor_coords},
+                "unit": [
+                    {
+                        "re": fraction_text(re),
+                        "im": fraction_text(im),
+                        "exponents": list(exponents),
+                    }
+                    for exponents, (re, im) in sorted(chart.unit.terms.items())
+                ],
+            }
+            for chart in model.charts
+        ]
+    return doc
+
+
+def assert_writes_json_dumps_bytes(model):
+    assert save_model(model) == json.dumps(reference_doc(model), indent=2) + "\n"
+
+
+def arrangement(n):
+    """The n coordinate hyperplanes of C^n: the open stratum on J is a torus
+    of dimension n - |J|."""
+    ids = [f"x{i}" for i in range(n)]
+    strata = [
+        Stratum(subset, LM1 ** (n - size))
+        for size in range(1, n + 1)
+        for subset in itertools.combinations(ids, size)
+    ]
+    return NCModel(n, "global", [Component(cid, i + 1) for i, cid in enumerate(ids)], strata)
+
+
+def blown_arrangements(seed):
+    """H_3..H_6, each blown up at the origin and at a seeded coordinate
+    subspace with one transverse piece per subset R of the rest."""
+    rng = random.Random(seed)
+    for n in range(3, 7):
+        model = arrangement(n)
+        ids = model.component_ids()
+        yield apply_blowup(model, point_center(ids, codim=n))
+        k_ids = rng.sample(ids, rng.randint(2, n - 1))
+        rest = [cid for cid in ids if cid not in k_ids]
+        pieces = {frozenset(r): LM1 ** (n - len(k_ids) - len(r))
+                  for size in range(len(rest) + 1)
+                  for r in itertools.combinations(rest, size)}
+        yield apply_blowup(model, CenterSpec(k_ids, rest, len(k_ids), pieces, "E"))
 
 
 class TestRandomRoundTrip:
@@ -248,6 +338,97 @@ class TestRandomRoundTrip:
     def test_random_models_round_trip(self, model):
         assert validate(model) == []
         assert load_model(save_model(model)) == model
+
+    @given(valid_models())
+    def test_unchecked_load_round_trip(self, model):
+        assert load_model(save_model(model), check=False) == model
+
+
+class TestWriterBytes:
+    """``save_model`` writes the indent=2 layout itself; its bytes are those
+    of ``json.dumps`` on the document dict."""
+
+    @given(valid_models())
+    def test_random_models(self, model):
+        assert_writes_json_dumps_bytes(model)
+
+    @pytest.mark.parametrize("name", ["smooth", "xy", "cusp_resolved", "power_3",
+                                      "power_1000", "xa_yb_2_3"])
+    def test_builtins(self, name):
+        assert_writes_json_dumps_bytes(builtin_example(name))
+
+    def test_blown_arrangements(self):
+        for blown in blown_arrangements(99):
+            assert validate(blown) == []
+            assert_writes_json_dumps_bytes(blown)
+
+    def test_empty_containers(self):
+        # an empty stratum subset, a zero class, no components, an empty
+        # chart: invalid, but written the way json.dumps writes them
+        model = NCModel(1, "local", [], [Stratum((), LefschetzPoly())],
+                        [Chart(1, {}, UnitPoly({}))])
+        assert_writes_json_dumps_bytes(model)
+        assert '"components": [],' in save_model(model)
+        assert '"divisor_coords": {},' in save_model(model)
+
+    def test_bool_integer_fields_round_trip(self):
+        # the one intended difference from json.dumps, which writes `true`
+        m = NCModel(1, "local", [Component("x", True)],
+                    [Stratum({"x"}, LefschetzPoly((True,)))])
+        assert validate(m) == []
+        text = save_model(m)
+        assert '"multiplicity": 1' in text and "true" not in text
+        assert load_model(text) == m
+
+
+def h3_document():
+    return json.loads(save_model(arrangement(3)))
+
+
+STRATUM_CORRUPTIONS = {
+    "not-an-object": (lambda item: ["x0"], "expected an object, got list"),
+    "missing-key": (lambda item: {"components": item["components"]},
+                    "missing fields ['class']"),
+    "extra-key": (lambda item: {**item, "extra": 1}, "unknown fields ['extra']"),
+    "components-not-a-list": (lambda item: {**item, "components": "x0"},
+                              "field 'components' must be a list of ids"),
+    "non-string-id": (lambda item: {**item, "components": ["x0", 1]},
+                      "field 'components' must be a list of ids"),
+    "true-coefficient": (lambda item: {**item, "class": [1, True]},
+                         "field 'class' must be a list of integers"),
+    "float-coefficient": (lambda item: {**item, "class": [1.0]},
+                          "field 'class' must be a list of integers"),
+    "nested-list": (lambda item: {**item, "class": [[1]]},
+                    "field 'class' must be a list of integers"),
+}
+
+
+class TestLoaderMessages:
+    """Malformed strata get the message and locator of the per-field
+    checkers, wherever they sit in the list."""
+
+    @pytest.mark.parametrize("index", [0, -1])
+    @pytest.mark.parametrize("kind", sorted(STRATUM_CORRUPTIONS))
+    def test_single_corruption(self, kind, index):
+        corrupt, message = STRATUM_CORRUPTIONS[kind]
+        doc = h3_document()
+        position = index % len(doc["strata"])
+        doc["strata"][index] = corrupt(doc["strata"][index])
+        with pytest.raises(ModelParseError) as err:
+            load_model(json.dumps(doc, indent=2))
+        assert str(err.value) == f"strata[{position}]: {message}"
+        assert err.value.where == f"strata[{position}]"
+
+    def test_first_bad_stratum_is_reported(self):
+        doc = h3_document()
+        doc["strata"][2]["class"] = [0.5]
+        doc["strata"][5] = []
+        with pytest.raises(ModelParseError) as err:
+            load_model(json.dumps(doc))
+        assert str(err.value) == "strata[2]: field 'class' must be a list of integers"
+
+    def test_h3_document_loads(self):
+        assert load_model(json.dumps(h3_document())) == arrangement(3)
 
 
 def scan_class(model, subset):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ncmilnor import ring
 from ncmilnor.ring import (
     L,
     ONE,
@@ -67,6 +68,31 @@ class TestLefschetzArith:
             LefschetzPoly.monomial(-1)
         with pytest.raises(ValueError):
             L ** -1
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8, 13])
+    def test_power_product_count(self, monkeypatch, n):
+        # binary powering needs bit_length(n) + popcount(n) - 2 products
+        p = L - ONE
+        repeated = ONE
+        for _ in range(n):
+            repeated = repeated * p
+        calls = []
+        real = ring._mul
+
+        def counting(a, b):
+            calls.append(None)
+            return real(a, b)
+
+        monkeypatch.setattr(ring, "_mul", counting)
+        assert p**n == repeated
+        assert len(calls) == max(0, n.bit_length() + bin(n).count("1") - 2)
+
+    @given(polys, st.integers(min_value=0, max_value=9))
+    def test_power_is_repeated_product(self, a, n):
+        repeated = ONE
+        for _ in range(n):
+            repeated = repeated * a
+        assert a**n == repeated
 
     @given(polys, polys)
     def test_commutative(self, a, b):
