@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping
 
@@ -48,6 +47,7 @@ from .model import (
     require_valid,
 )
 from .ring import KeyedClass, LefschetzPoly, ZetaFactorization, zeta_equal
+from .values import value_class
 
 
 class CenterSpec:
@@ -81,6 +81,10 @@ class CenterSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError("CenterSpec is immutable")
+
+    def __reduce__(self):
+        return CenterSpec, (self.containing, self.transverse, self.codim,
+                            self.center_strata, self.new_component_id)
 
     def __eq__(self, other) -> bool:
         return (
@@ -244,19 +248,13 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
     return require_valid(NCModel(model.ambient_dim, model.mode, components, strata))
 
 
-@dataclass(frozen=True)
+@value_class
 class InvarianceReport:
     """Before/after comparison of the blow-up-invariant realizations, plus
     the keyed delta (after minus before), which may legitimately be nonzero."""
 
-    zeta_before: ZetaFactorization
-    zeta_after: ZetaFactorization
-    euler_before: int
-    euler_after: int
-    absolute_before: LefschetzPoly
-    absolute_after: LefschetzPoly
-    keyed_before: KeyedClass
-    keyed_after: KeyedClass
+    __slots__ = ("zeta_before", "zeta_after", "euler_before", "euler_after",
+                 "absolute_before", "absolute_after", "keyed_before", "keyed_after")
 
     @property
     def zeta_invariant(self) -> bool:

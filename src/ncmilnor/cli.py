@@ -5,35 +5,19 @@ Subcommands: ``validate``, ``census``, ``zeta``, ``euler``, ``motivic``,
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 for success (and
 for "all realizations equal"), 1 when an invariance check finds a computed
 inequality, 2 for input errors.  Pass ``--json`` for machine-readable output.
+
+A command starts in the time of its imports, so this module imports only
+``model`` (and through it ``ring``); each subcommand imports the layers it
+runs (``milnor``, ``blowup``, ``logspace``) when it is called.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import sys
 from pathlib import Path
 
-from .blowup import check_invariance, apply_blowup, load_center
-from .logspace import (
-    LogspaceError,
-    chart_context,
-    monodromy,
-    point_from_json,
-    recover_multiplicities,
-    sign_f,
-    sign_oracle,
-    simplex_representative,
-)
-from .milnor import (
-    absolute_from_keyed,
-    acampo_zeta,
-    keyed_class,
-    milnor_fibre_euler,
-    motivic_terms,
-)
 from .model import (
     BUILTIN_NAMES,
     ModelError,
@@ -41,6 +25,7 @@ from .model import (
     builtin_example,
     census,
     load_model,
+    parse_json,
     save_model,
     validate,
 )
@@ -109,6 +94,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from .milnor import acampo_zeta
+
     zeta = acampo_zeta(_read_model(args.model))
     payload = {"command": "zeta", "factors": [list(f) for f in zeta], "text": str(zeta)}
     _emit(payload, [str(zeta)], args.json)
@@ -116,12 +103,16 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_euler(args) -> int:
+    from .milnor import milnor_fibre_euler
+
     value = milnor_fibre_euler(_read_model(args.model))
     _emit({"command": "euler", "value": value}, [str(value)], args.json)
     return OK
 
 
 def _cmd_motivic(args) -> int:
+    from .milnor import absolute_from_keyed, keyed_class, motivic_terms
+
     model = _read_model(args.model)
     terms = motivic_terms(model)
     keyed = keyed_class(model)
@@ -147,6 +138,8 @@ def _cmd_motivic(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from .blowup import apply_blowup, load_center
+
     model = _read_model(args.model)
     center = load_center(Path(args.center).read_text(encoding="utf-8"))
     blown = apply_blowup(model, center)
@@ -165,6 +158,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
+    from .blowup import check_invariance, load_center
+
     model = _read_model(args.model)
     center = load_center(Path(args.center).read_text(encoding="utf-8"))
     report = check_invariance(model, center)
@@ -196,10 +191,12 @@ def _cmd_invariance(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from .logspace import LogspaceError, chart_context, recover_multiplicities, sign_oracle
+
     model = _read_model(args.model)
     ctx = chart_context(model, args.chart)
     try:
-        base = [complex(re, im) for re, im in json.loads(args.point)]
+        base = [complex(re, im) for re, im in parse_json(args.point)]
     except (TypeError, ValueError) as exc:
         raise LogspaceError(f"bad base point: {exc}") from None
     oracle = sign_oracle(ctx, base)
@@ -228,16 +225,26 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_monodromy_demo(args) -> int:
+    import cmath
+
+    from .logspace import (
+        chart_context,
+        monodromy,
+        point_from_json,
+        sign_f,
+        simplex_representative,
+    )
+
     model = _read_model(args.model)
     ctx = chart_context(model, args.chart)
-    point = point_from_json(ctx, json.loads(args.point))
+    point = point_from_json(ctx, parse_json(args.point))
     point = simplex_representative(point)
     start = sign_f(point)
     rows = []
     for step in range(args.steps + 1):
         lam = step / args.steps
         actual = sign_f(monodromy(point, lam))
-        predicted = cmath.exp(2j * math.pi * lam) * start
+        predicted = cmath.exp(2j * cmath.pi * lam) * start
         rows.append((lam, actual, predicted, abs(actual - predicted)))
     payload = {
         "command": "monodromy-demo",
@@ -334,15 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The exceptions reported as input errors.  ``LogspaceError`` is among
+    them once a subcommand has imported the numeric layer; until then
+    nothing can raise it, so it is looked up rather than imported."""
+    logspace = sys.modules.get(f"{__package__}.logspace")
+    if logspace is None:
+        return ModelError, OSError
+    return ModelError, OSError, logspace.LogspaceError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, LogspaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    except _input_errors() as exc:  # evaluated only when an exception arrives
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .milnor import bezout_chain
 from .model import Chart, NCModel, UnitPoly
+from .values import value_class
 
 PHASE_TOL = 1e-12
 UNIT_CUTOFF = 1e-12
@@ -69,12 +69,11 @@ class UnwrapError(LogspaceError):
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class PolarCoord:
     """Radius in (0, +inf] (math.inf marks the boundary) and a unit phase."""
 
-    radius: float
-    phase: complex
+    __slots__ = ("radius", "phase")
 
     @property
     def finite(self) -> bool:
@@ -86,12 +85,12 @@ class PolarCoord:
         return self.radius * self.phase
 
 
-@dataclass(frozen=True)
+@value_class
 class ChartContext:
-    """A chart bundled with the multiplicities of its divisor coordinates."""
+    """A chart bundled with the multiplicities of its divisor coordinates,
+    stored as sorted (coordinate, multiplicity) pairs."""
 
-    chart: Chart
-    multiplicities: tuple[tuple[int, int], ...]
+    __slots__ = ("chart", "multiplicities")
 
     def __init__(self, chart: Chart, multiplicities: Mapping[int, int]):
         object.__setattr__(self, "chart", chart)
@@ -126,17 +125,16 @@ def chart_context(model: NCModel, chart_index: int = 0) -> ChartContext:
         chart, {coord: model.multiplicity(cid) for coord, cid in chart.divisor_coords})
 
 
-@dataclass(frozen=True)
+@value_class
 class CplPoint:
     """A point of the complete log space of a chart.
 
     ``base`` gives the chart coordinates; it vanishes exactly on the divisor
     coordinates listed in ``polar``, each of which carries its polar pair.
+    ``polar`` is stored as sorted (coordinate, PolarCoord) pairs.
     """
 
-    chart: ChartContext
-    base: tuple[complex, ...]
-    polar: tuple[tuple[int, PolarCoord], ...]
+    __slots__ = ("chart", "base", "polar")
 
     def __init__(self, chart: ChartContext, base: Sequence[complex],
                  polar: Mapping[int, PolarCoord] | Mapping[int, tuple]):
@@ -187,10 +185,12 @@ class CplPoint:
         return CplPoint(self.chart, self.base, polar)
 
 
-@dataclass(frozen=True)
+@value_class
 class Classification:
-    tag: str
-    finite: frozenset[int]
+    """The tag of a point ("mot", "top" or "mixed") and the coordinates it
+    holds at finite radius."""
+
+    __slots__ = ("tag", "finite")
 
 
 def classify(p: CplPoint) -> Classification:
@@ -358,16 +358,13 @@ def sign_oracle(ctx: ChartContext, base: Sequence[complex]) -> Callable[[Sequenc
 # ---------------------------------------------------------------------------
 # Bezout trivialization
 
-@dataclass(frozen=True)
+@value_class
 class PsiImage:
     """Image of a point under the Bezout change of coordinates: the base,
     the isolated scale r with f = unit * r^order, and the residual tuple w
-    constrained by prod w_i^(N_i/order) = 1."""
+    constrained by prod w_i^(N_i/order) = 1, as (coordinate, w_i) pairs."""
 
-    base: tuple[complex, ...]
-    scale: complex
-    residual: tuple[tuple[int, complex], ...]
-    order: int
+    __slots__ = ("base", "scale", "residual", "order")
 
     def residual_map(self) -> dict[int, complex]:
         return dict(self.residual)
@@ -517,17 +514,15 @@ def pullback_motivic_value(codim: int, multiplicities: Mapping[int, int], unit: 
 # fibre parametrization of the blow-down over a boundary point
 # (plane geometry: one divisor through the origin, centre the origin)
 
-@dataclass(frozen=True)
+@value_class
 class FibreSample:
     """One point of the blow-down fibre over a boundary log point, together
     with its coordinate on the half-sphere {(w, rho): |w|^2 + rho^2 = 1,
     rho >= 0}: interior points (rho > 0) sit over the open exceptional line,
-    boundary points (rho = 0) on the corner circle."""
+    boundary points (rho = 0) on the corner circle.  ``position`` is None on
+    the boundary."""
 
-    stratum: str
-    position: complex | None
-    phases: tuple[complex, ...]
-    downstairs_phase: complex
+    __slots__ = ("stratum", "position", "phases", "downstairs_phase")
 
 
 def sigma_log_fibre_point(downstairs_phase: complex, w: complex, rho: float) -> FibreSample:

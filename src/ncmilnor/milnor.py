@@ -51,35 +51,29 @@ alpha_i with sum alpha_i * N_i = gcd, chosen deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
 from .model import NCModel, UnknownStratumError, require_valid
 from .ring import ONE, ZERO, KeyedClass, LefschetzPoly, ZetaFactorization, euler_realization
+from .values import value_class
 
 _L_MINUS_ONE = LefschetzPoly((-1, 1))
 
 
-@dataclass(frozen=True)
+@value_class
 class MotivicTerm:
     """One stratum's contribution to the motivic Milnor fibre."""
 
-    subset: tuple[str, ...]
-    sign: int
-    gcd_key: int
-    stratum_cls: LefschetzPoly
-    torus_exponent: int
+    __slots__ = ("subset", "sign", "gcd_key", "stratum_cls", "torus_exponent")
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiData:
     """Bezout data trivializing the torus bundle over a stratum:
     sum over i of bezout[i] * N_i equals the gcd ``order``."""
 
-    subset: tuple[str, ...]
-    order: int
-    bezout: tuple[int, ...]
+    __slots__ = ("subset", "order", "bezout")
 
 
 def motivic_terms(model: NCModel) -> list[MotivicTerm]:

@@ -25,18 +25,27 @@ equal those of ``json.dumps(doc, indent=2)`` whenever every integer field is
 an exact ``int``.  ``load_model`` checks all strata in a few C-level passes,
 and only when one of them is malformed reruns the per-field checkers, so a
 malformed stratum gets the same message and locator as a per-stratum check
-would give it.
+would give it.  The checked class coefficients go to
+``LefschetzPoly.from_checked``, which does not type-check them again.  Every
+failure of the JSON parser, nesting too deep and over-long integers
+included, is a ``ModelParseError``.
+
+The record types (``Component``, ``Stratum``, ``NCModel`` and the rest) are
+slotted ``value_class`` types, and ``fractions`` is imported only when a
+chart unit is built or parsed, so importing this module stays cheap.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .ring import ZERO, LefschetzPoly
+from .values import value_class
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 GLOBAL = "global"
 LOCAL = "local"
@@ -81,31 +90,28 @@ class UnknownStratumError(ModelError):
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class Violation:
     """One invariant breach, with a locator into the offending datum."""
 
-    where: str
-    problem: str
+    __slots__ = ("where", "problem")
 
     def __str__(self) -> str:
         return f"{self.where}: {self.problem}"
 
 
-@dataclass(frozen=True)
+@value_class
 class Component:
     """A divisor component: an id token and the vanishing order of f along it."""
 
-    id: str
-    multiplicity: int
+    __slots__ = ("id", "multiplicity")
 
 
-@dataclass(frozen=True)
+@value_class
 class Stratum:
     """An open stratum: the component subset and its class in Z[L]."""
 
-    components: frozenset[str]
-    cls: LefschetzPoly
+    __slots__ = ("components", "cls")
 
     def __init__(self, components: Iterable[str], cls: LefschetzPoly):
         object.__setattr__(self, "components", frozenset(components))
@@ -118,12 +124,15 @@ class UnitPoly:
     Terms map an exponent tuple (one entry per chart coordinate) to a
     coefficient (re, im) pair of Fractions.  Evaluation is done in complex
     double precision; the exact coefficients exist so that models serialize
-    reproducibly and charts compare bit-exactly.
+    reproducibly and charts compare bit-exactly.  ``fractions`` is imported
+    by the first unit built, not by importing this module.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], tuple[Fraction, Fraction]]):
+        from fractions import Fraction
+
         cleaned = {}
         for exponents, (re, im) in dict(terms).items():
             exponents = tuple(int(e) for e in exponents)
@@ -137,9 +146,12 @@ class UnitPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UnitPoly is immutable")
 
+    def __reduce__(self):
+        return UnitPoly, (self.terms,)
+
     @staticmethod
     def constant(re, im=0) -> "UnitPoly":
-        return UnitPoly({(): (Fraction(re), Fraction(im))})
+        return UnitPoly({(): (re, im)})
 
     @property
     def arity(self) -> int:
@@ -169,15 +181,13 @@ class UnitPoly:
         return f"UnitPoly({self.terms!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class Chart:
     """A numeric chart: which coordinates cut out which components, plus the
     unit factor of f in these coordinates.  ``divisor_coords`` maps a
-    coordinate index (< dim) to a component id."""
+    coordinate index (< dim) to a component id, stored as sorted pairs."""
 
-    dim: int
-    divisor_coords: Mapping[int, str]
-    unit: UnitPoly
+    __slots__ = ("dim", "divisor_coords", "unit")
 
     def __init__(self, dim: int, divisor_coords: Mapping[int, str], unit: UnitPoly):
         object.__setattr__(self, "dim", int(dim))
@@ -189,7 +199,7 @@ class Chart:
         return dict(self.divisor_coords)
 
 
-@dataclass(frozen=True)
+@value_class
 class NCModel:
     """Components, strata and charts of a normal-crossing model.
 
@@ -202,11 +212,8 @@ class NCModel:
     fields only.
     """
 
-    ambient_dim: int
-    mode: str
-    components: tuple[Component, ...]
-    strata: tuple[Stratum, ...]
-    charts: tuple[Chart, ...] = ()
+    __slots__ = ("ambient_dim", "mode", "components", "strata", "charts",
+                 "_multiplicities", "_classes", "_violations")
 
     def __init__(self, ambient_dim: int, mode: str, components: Iterable[Component],
                  strata: Iterable[Stratum], charts: Iterable[Chart] = ()):
@@ -337,20 +344,19 @@ MOT = "mot"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@value_class
 class CensusPiece:
     """One piece of the fibre decomposition over a stratum: the components
     held at finite radius, the resulting product shape, and its tag."""
 
-    finite: tuple[str, ...]
-    shape: str
-    tag: str
+    __slots__ = ("finite", "shape", "tag")
 
 
-@dataclass(frozen=True)
+@value_class
 class CensusRecord:
-    subset: tuple[str, ...]
-    pieces: tuple[CensusPiece, ...]
+    """The sorted ids of a stratum and the pieces of the fibre over it."""
+
+    __slots__ = ("subset", "pieces")
 
     @property
     def mixed_count(self) -> int:
@@ -411,6 +417,8 @@ def _fraction_to_str(x: Fraction) -> str:
 
 
 def _fraction_from_str(text: str, where: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -418,12 +426,19 @@ def _fraction_from_str(text: str, where: str) -> Fraction:
 
 
 def parse_json(text: str):
-    """``json.loads``, with decode errors raised as ``ModelParseError``
-    carrying the line and column."""
+    """``json.loads``, with every failure raised as ``ModelParseError``.
+    Decode errors carry the line and column.  Nesting too deep for the
+    parser's recursion, and an integer with more digits than the
+    interpreter converts from text (``sys.get_int_max_str_digits``), are
+    reported without a position."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ModelParseError("arrays or objects nested too deeply") from None
+    except ValueError as exc:  # the integer digit limit; its advice part is dropped
+        raise ModelParseError(str(exc).split(";")[0]) from None
 
 
 def require_keys(obj: dict, required: Sequence[str], optional: Sequence[str], where: str):
@@ -532,7 +547,7 @@ def load_model(text: str, check: bool = True) -> NCModel:
             id_list_field(item, "components", where)
             class_field(item["class"], where)
     strata = map(Stratum, map(dict.__getitem__, items, repeat("components")),
-                 map(LefschetzPoly, map(dict.__getitem__, items, repeat("class"))))
+                 map(LefschetzPoly.from_checked, map(dict.__getitem__, items, repeat("class"))))
 
     charts = []
     for i, item in enumerate(doc.get("charts", [])):

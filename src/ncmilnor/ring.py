@@ -38,25 +38,29 @@ from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------
-# low-level coefficient-list arithmetic for LefschetzPoly
+# low-level coefficient-list arithmetic for LefschetzPoly.  Inputs are
+# normal forms (no trailing zero); outputs may end in zeros, and
+# ``LefschetzPoly.from_checked`` trims them once, where the result is wrapped.
 
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
+def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
 
 
-def _add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _trim(out)
+    return out
 
 
-def _mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+def _mul(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """The product; it has no trailing zero, since the leading coefficients
+    of normal forms are nonzero."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -65,16 +69,16 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
             continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return _trim(out)
+    return out
 
 
-def _pow(a: Sequence[int], n: int) -> tuple[int, ...]:
+def _pow(a: Sequence[int], n: int) -> Sequence[int]:
     """a^n by binary powering in bit_length(n) + popcount(n) - 2 products
     (none for n <= 1): the result starts at the lowest set bit, and the
     base is not squared past the highest."""
     if n == 0:
         return (1,)
-    base = _trim(list(a))
+    base = a
     while not n & 1:
         base = _mul(base, base)
         n >>= 1
@@ -107,7 +111,19 @@ class LefschetzPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LefschetzPoly is immutable")
 
+    def __reduce__(self):
+        return LefschetzPoly, (self.coeffs,)
+
     # -- constructors
+
+    @staticmethod
+    def from_checked(coeffs: Sequence[int]) -> "LefschetzPoly":
+        """The polynomial with these coefficients, which the caller has
+        already checked to be exact integers.  Trailing zeros are trimmed,
+        so the result is in normal form."""
+        p = LefschetzPoly.__new__(LefschetzPoly)
+        object.__setattr__(p, "coeffs", _trim(coeffs))
+        return p
 
     @staticmethod
     def zero() -> "LefschetzPoly":
@@ -146,18 +162,18 @@ class LefschetzPoly:
     # -- ring operations
 
     def __add__(self, other: "LefschetzPoly") -> "LefschetzPoly":
-        return _wrap(_add(self.coeffs, other.coeffs))
+        return LefschetzPoly.from_checked(_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "LefschetzPoly":
-        return _wrap(tuple(-c for c in self.coeffs))
+        return LefschetzPoly.from_checked(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "LefschetzPoly") -> "LefschetzPoly":
-        return _wrap(_add(self.coeffs, tuple(-c for c in other.coeffs)))
+        return LefschetzPoly.from_checked(_add(self.coeffs, tuple(-c for c in other.coeffs)))
 
     def __mul__(self, other) -> "LefschetzPoly":
         if isinstance(other, int):
-            return _wrap(_trim([other * c for c in self.coeffs]))
-        return _wrap(_mul(self.coeffs, other.coeffs))
+            return LefschetzPoly.from_checked([other * c for c in self.coeffs])
+        return LefschetzPoly.from_checked(_mul(self.coeffs, other.coeffs))
 
     def __rmul__(self, other: int) -> "LefschetzPoly":
         return self.__mul__(other)
@@ -165,7 +181,7 @@ class LefschetzPoly:
     def __pow__(self, n: int) -> "LefschetzPoly":
         if n < 0:
             raise ValueError("negative powers are not defined in Z[L]")
-        return _wrap(_pow(self.coeffs, n))
+        return LefschetzPoly.from_checked(_pow(self.coeffs, n))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LefschetzPoly) and self.coeffs == other.coeffs
@@ -203,12 +219,6 @@ class LefschetzPoly:
         return f"LefschetzPoly({self.coeffs!r})"
 
 
-def _wrap(coeffs: tuple[int, ...]) -> LefschetzPoly:
-    p = LefschetzPoly.__new__(LefschetzPoly)
-    object.__setattr__(p, "coeffs", coeffs)
-    return p
-
-
 #: The Lefschetz class itself.
 L = LefschetzPoly.monomial(1)
 ZERO = LefschetzPoly.zero()
@@ -238,6 +248,9 @@ class UVPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UVPoly is immutable")
+
+    def __reduce__(self):
+        return UVPoly, (self.terms,)
 
     def __add__(self, other: "UVPoly") -> "UVPoly":
         out = dict(self.terms)
@@ -318,6 +331,9 @@ class KeyedClass:
     def __setattr__(self, name, value):
         raise AttributeError("KeyedClass is immutable")
 
+    def __reduce__(self):
+        return KeyedClass, (self.entries,)
+
     def __add__(self, other: "KeyedClass") -> "KeyedClass":
         out = dict(self.entries)
         for key, poly in other.entries.items():
@@ -375,6 +391,9 @@ class ZetaFactorization:
 
     def __setattr__(self, name, value):
         raise AttributeError("ZetaFactorization is immutable")
+
+    def __reduce__(self):
+        return ZetaFactorization, (self.factors,)
 
     def __eq__(self, other) -> bool:
         """Normal-form equality; coincides with rational-function equality."""

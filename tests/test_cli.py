@@ -1,15 +1,21 @@
 """Command line behaviour: subcommands, exit codes, file flows, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncmilnor
 from ncmilnor.cli import main
 from ncmilnor.blowup import point_center, save_center
 from ncmilnor.milnor import naive_absolute_class
 from ncmilnor.model import builtin_example, load_model, save_model, validate
 
 BUILTINS = ("smooth", "xy", "cusp_resolved", "power_3", "xa_yb_2_3")
+SRC = str(Path(ncmilnor.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -234,6 +240,48 @@ class TestNumericCommands:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestParserLimits:
+    """JSON the parser cannot take (nesting past its recursion limit, an
+    integer longer than the interpreter converts) is an input error."""
+
+    DEEP = "[" * 200_000
+    LONG = "1" + "0" * 5000
+
+    def assert_input_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        self.assert_input_error(capsys, ["validate", str(path)])
+
+    def test_long_integer_in_document(self, capsys, tmp_path):
+        doc = json.loads(save_model(builtin_example("xy")))
+        text = json.dumps(doc).replace('"multiplicity": 1', f'"multiplicity": {self.LONG}', 1)
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        self.assert_input_error(capsys, ["validate", str(path)])
+
+    @pytest.mark.parametrize("command", ["recover", "monodromy-demo"])
+    @pytest.mark.parametrize("point", [DEEP, f"[[{LONG}, 0], [0, 0]]"], ids=["deep", "long"])
+    def test_point_argument(self, capsys, xy_path, command, point):
+        self.assert_input_error(capsys, [command, xy_path, "--point", point])
+
+    def test_console_entry_point(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        proc = subprocess.run([sys.executable, "-m", "ncmilnor.cli", "validate", str(path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestExamples:

@@ -430,6 +430,29 @@ class TestLoaderMessages:
     def test_h3_document_loads(self):
         assert load_model(json.dumps(h3_document())) == arrangement(3)
 
+    def test_stored_class_is_trimmed(self):
+        doc = json.loads(save_model(xy_model()))
+        doc["strata"][0]["class"] = [1, 0, 0]
+        model = load_model(json.dumps(doc))
+        assert model == xy_model()
+        assert model.strata[0].cls.coeffs == (1,)
+
+    def test_zero_class_is_still_rejected(self):
+        doc = json.loads(save_model(xy_model()))
+        doc["strata"][0]["class"] = [0]
+        with pytest.raises(InvalidModelError, match="empty stratum must be omitted"):
+            load_model(json.dumps(doc))
+        assert validate(load_model(json.dumps(doc), check=False))[0].problem == (
+            "empty stratum must be omitted, not stored with class 0")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 200_000, "nested too deeply"),
+        ('{"ambient_dim": 1' + "0" * 5000 + "}", "Exceeds the limit"),
+    ], ids=["deep-nesting", "long-integer"])
+    def test_parser_limits_are_parse_errors(self, text, message):
+        with pytest.raises(ModelParseError, match=message):
+            load_model(text)
+
 
 def scan_class(model, subset):
     for stratum in model.strata:

@@ -63,6 +63,12 @@ class TestLefschetzArith:
         assert LefschetzPoly((1, 2, 0, 0)).coeffs == (1, 2)
         assert LefschetzPoly((0, 0)).coeffs == ()
 
+    def test_checked_constructor_keeps_the_normal_form(self):
+        for coeffs in ([1, 2, 0, 0], (1, 2), [0, 0], ()):
+            p = LefschetzPoly.from_checked(coeffs)
+            assert p == LefschetzPoly(coeffs)
+            assert type(p.coeffs) is tuple and p.coeffs == LefschetzPoly(coeffs).coeffs
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             LefschetzPoly.monomial(-1)
