@@ -46,10 +46,10 @@ from .model import (
     require_keys,
     require_valid,
 )
-from .ring import KeyedClass, LefschetzPoly, ZetaFactorization, zeta_equal
-from .values import value_class
+from .ring import KeyedClass, LefschetzPoly, ZetaFactorization, value_class, zeta_equal
 
 
+@value_class
 class CenterSpec:
     """Combinatorial data of a blow-up centre.
 
@@ -79,24 +79,8 @@ class CenterSpec:
         object.__setattr__(self, "center_strata", cleaned)
         object.__setattr__(self, "new_component_id", str(new_component_id))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CenterSpec is immutable")
-
-    def __reduce__(self):
-        return CenterSpec, (self.containing, self.transverse, self.codim,
-                            self.center_strata, self.new_component_id)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CenterSpec)
-            and self.containing == other.containing
-            and self.transverse == other.transverse
-            and self.codim == other.codim
-            and self.center_strata == other.center_strata
-            and self.new_component_id == other.new_component_id
-        )
-
     def __repr__(self) -> str:
+        # sorted, since a frozenset's repr can change order when it is copied
         return (f"CenterSpec(containing={sorted(self.containing)}, "
                 f"transverse={sorted(self.transverse)}, codim={self.codim}, "
                 f"new_component_id={self.new_component_id!r})")
@@ -217,19 +201,20 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
 
     strata: list[Stratum] = []
     for stratum in model.strata:
-        rest = stratum.components - k_ids
-        if k_ids <= stratum.components and rest <= center.transverse:
-            removed = center.center_strata.get(rest, LefschetzPoly.zero())
-            new_cls = stratum.cls - removed
-            if not removed.is_zero and new_cls and new_cls.leading_coefficient() < 0:
-                warnings.warn(
-                    f"stratum {{{', '.join(sorted(stratum.components))}}}: class minus "
-                    f"centre class has negative leading coefficient; "
-                    f"check the centre data", stacklevel=2)
-            if new_cls:
-                strata.append(Stratum(stratum.components, new_cls))
-        else:
+        # validate_center keeps every key of center_strata inside transverse
+        removed = (center.center_strata.get(stratum.components - k_ids)
+                   if k_ids <= stratum.components else None)
+        if removed is None:  # the centre does not meet this stratum
             strata.append(stratum)
+            continue
+        new_cls = stratum.cls - removed
+        if new_cls and new_cls.leading_coefficient() < 0:
+            warnings.warn(
+                f"stratum {{{', '.join(sorted(stratum.components))}}}: class minus "
+                f"centre class has negative leading coefficient; "
+                f"check the centre data", stacklevel=2)
+        if new_cls:
+            strata.append(Stratum(stratum.components, new_cls))
 
     q_subsets = _subsets(k_ids)
     # the fibre class depends on |Q| only

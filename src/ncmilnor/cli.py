@@ -21,6 +21,7 @@ from pathlib import Path
 from .model import (
     BUILTIN_NAMES,
     ModelError,
+    ModelParseError,
     NCModel,
     builtin_example,
     census,
@@ -33,8 +34,18 @@ from .model import (
 OK, UNEQUAL, INPUT_ERROR = 0, 1, 2
 
 
+def _read_text(path: str) -> str:
+    """The text of a model or centre file; a file that is not UTF-8 is a
+    ``ModelParseError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                              where=path) from None
+
+
 def _read_model(path: str) -> NCModel:
-    return load_model(Path(path).read_text(encoding="utf-8"))
+    return load_model(_read_text(path))
 
 
 def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
@@ -62,7 +73,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _cmd_validate(args) -> int:
-    model = load_model(Path(args.model).read_text(encoding="utf-8"), check=False)
+    model = load_model(_read_text(args.model), check=False)
     problems = validate(model)
     payload = {"command": "validate", "violations": [
         {"where": v.where, "problem": v.problem} for v in problems]}
@@ -141,7 +152,7 @@ def _cmd_blowup(args) -> int:
     from .blowup import apply_blowup, load_center
 
     model = _read_model(args.model)
-    center = load_center(Path(args.center).read_text(encoding="utf-8"))
+    center = load_center(_read_text(args.center))
     blown = apply_blowup(model, center)
     Path(args.out).write_text(save_model(blown), encoding="utf-8")
     payload = {
@@ -161,7 +172,7 @@ def _cmd_invariance(args) -> int:
     from .blowup import check_invariance, load_center
 
     model = _read_model(args.model)
-    center = load_center(Path(args.center).read_text(encoding="utf-8"))
+    center = load_center(_read_text(args.center))
     report = check_invariance(model, center)
     payload = {
         "command": "invariance",
@@ -341,22 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_errors() -> tuple[type[Exception], ...]:
-    """The exceptions reported as input errors.  ``LogspaceError`` is among
-    them once a subcommand has imported the numeric layer; until then
-    nothing can raise it, so it is looked up rather than imported."""
-    logspace = sys.modules.get(f"{__package__}.logspace")
-    if logspace is None:
-        return ModelError, OSError
-    return ModelError, OSError, logspace.LogspaceError
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _input_errors() as exc:  # evaluated only when an exception arrives
+    except (ModelError, OSError) as exc:  # LogspaceError is a ModelError
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

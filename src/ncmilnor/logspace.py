@@ -41,16 +41,16 @@ import math
 from typing import Callable, Mapping, Sequence
 
 from .milnor import bezout_chain
-from .model import Chart, NCModel, UnitPoly
-from .values import value_class
+from .model import Chart, ModelError, NCModel, UnitPoly
+from .ring import value_class
 
 PHASE_TOL = 1e-12
 UNIT_CUTOFF = 1e-12
 SIMPLEX_TOL = 1e-9
 
 
-class LogspaceError(ValueError):
-    pass
+class LogspaceError(ModelError):
+    """Numeric input a chart cannot take: a bad point, chart or sample count."""
 
 
 class NonMotivicPointError(LogspaceError):
@@ -117,10 +117,9 @@ class ChartContext:
 
 def chart_context(model: NCModel, chart_index: int = 0) -> ChartContext:
     """Bundle chart ``chart_index`` of a model with its multiplicities."""
-    try:
-        chart = model.charts[chart_index]
-    except IndexError:
-        raise LogspaceError(f"model has no chart {chart_index}") from None
+    if not 0 <= chart_index < len(model.charts):
+        raise LogspaceError(f"model has no chart {chart_index}")
+    chart = model.charts[chart_index]
     return ChartContext(
         chart, {coord: model.multiplicity(cid) for coord, cid in chart.divisor_coords})
 

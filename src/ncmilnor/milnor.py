@@ -55,8 +55,15 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .model import NCModel, UnknownStratumError, require_valid
-from .ring import ONE, ZERO, KeyedClass, LefschetzPoly, ZetaFactorization, euler_realization
-from .values import value_class
+from .ring import (
+    ONE,
+    ZERO,
+    KeyedClass,
+    LefschetzPoly,
+    ZetaFactorization,
+    euler_realization,
+    value_class,
+)
 
 _L_MINUS_ONE = LefschetzPoly((-1, 1))
 

@@ -30,9 +30,10 @@ would give it.  The checked class coefficients go to
 failure of the JSON parser, nesting too deep and over-long integers
 included, is a ``ModelParseError``.
 
-The record types (``Component``, ``Stratum``, ``NCModel`` and the rest) are
-slotted ``value_class`` types, and ``fractions`` is imported only when a
-chart unit is built or parsed, so importing this module stays cheap.
+The value types (``Component``, ``Stratum``, ``UnitPoly``, ``NCModel`` and
+the rest) are slotted classes completed by ``ring.value_class``, and
+``fractions`` is imported only when a chart unit is built or parsed, so
+importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ import json
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .ring import ZERO, LefschetzPoly
-from .values import value_class
+from .ring import ZERO, LefschetzPoly, value_class
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -118,6 +118,7 @@ class Stratum:
         object.__setattr__(self, "cls", cls)
 
 
+@value_class
 class UnitPoly:
     """Multivariate polynomial with exact Gaussian-rational coefficients.
 
@@ -143,12 +144,6 @@ class UnitPoly:
                 cleaned[exponents] = (re, im)
         object.__setattr__(self, "terms", dict(cleaned))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitPoly is immutable")
-
-    def __reduce__(self):
-        return UnitPoly, (self.terms,)
-
     @staticmethod
     def constant(re, im=0) -> "UnitPoly":
         return UnitPoly({(): (re, im)})
@@ -171,14 +166,8 @@ class UnitPoly:
             total += mono
         return total
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnitPoly) and self.terms == other.terms
-
     def __hash__(self) -> int:
         return hash(("UnitPoly", tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        return f"UnitPoly({self.terms!r})"
 
 
 @value_class

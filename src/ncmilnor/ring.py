@@ -29,12 +29,86 @@ Realizations of LefschetzPoly: ``euler_realization`` evaluates at L = 1
 L -> u*v (the Hodge-Deligne E-polynomial of a mixed-Tate class), landing in
 ``UVPoly``, a small exact bivariate polynomial type.
 
-Everything is immutable and side-effect free.
+Everything is immutable and side-effect free.  Each of the four types
+computes its normal form in its own ``__init__``, and equality of values is
+equality of normal forms.  ``value_class`` completes them, and every other
+immutable value type of the package, with equality, hashing, the repr,
+immutability and pickling; it lives here because this module imports no
+other module of the package.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+
+
+def value_class(cls: type) -> type:
+    """Complete a class that lists its fields in ``__slots__`` the way
+    ``@dataclass(frozen=True)`` would, at a fraction of the import cost.
+
+    The fields are the public names in ``__slots__``, in order; a slot whose
+    name starts with an underscore holds derived state (an index, a memo)
+    and takes no part in equality, hashing, the repr or pickling.  The class
+    gets:
+
+    * ``__init__(self, field, ...)``, positional or keyword, unless it
+      writes its own (which then sets each slot with ``object.__setattr__``);
+    * ``==`` true only between instances of the same class with equal
+      fields, and the matching ``hash``, on the tuple of field values, or on
+      the bare value of a single field; a class's own ``__hash__`` is kept;
+    * the dataclass repr ``Name(field=value!r, ...)``, and ``Name(value!r)``
+      for a single field; a class's own ``__repr__`` is kept;
+    * ``AttributeError`` on assignment and deletion;
+    * ``__reduce__``, which rebuilds an instance by calling the class with
+      its field values, so ``pickle``, ``copy`` and ``deepcopy`` work.
+    """
+    fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+    values = attrgetter(*fields)  # of a single name, the bare value
+    args = values if len(fields) > 1 else lambda self: (values(self),)
+    labels = [f"{name}=" for name in fields] if len(fields) > 1 else [""]
+
+    if "__init__" not in cls.__dict__:
+        # a generated signature, as dataclasses writes one: positional and
+        # keyword calls bind at C speed, and each slot is set through its
+        # descriptor, past the __setattr__ that refuses assignment
+        setters = {f"set_{name}": cls.__dict__[name].__set__ for name in fields}
+        source = f"def __init__(self, {', '.join(fields)}):\n" + "".join(
+            f"    set_{name}(self, {name})\n" for name in fields)
+        exec(source, setters)
+        init = setters["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{label}{value!r}" for label, value in zip(labels, args(self)))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, args(self)
+
+    own = {"__hash__", "__repr__"} & cls.__dict__.keys()
+    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__, __reduce__):
+        if method.__name__ in own:
+            continue
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = fields
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +166,7 @@ def _pow(a: Sequence[int], n: int) -> Sequence[int]:
     return result
 
 
+@value_class
 class LefschetzPoly:
     """A polynomial in the Lefschetz class L, with exact integer coefficients.
 
@@ -107,12 +182,6 @@ class LefschetzPoly:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be exact integers, got {c!r}")
         object.__setattr__(self, "coeffs", _trim(values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LefschetzPoly is immutable")
-
-    def __reduce__(self):
-        return LefschetzPoly, (self.coeffs,)
 
     # -- constructors
 
@@ -183,12 +252,6 @@ class LefschetzPoly:
             raise ValueError("negative powers are not defined in Z[L]")
         return LefschetzPoly.from_checked(_pow(self.coeffs, n))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LefschetzPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("LefschetzPoly", self.coeffs))
-
     def __bool__(self) -> bool:
         return not self.is_zero
 
@@ -215,9 +278,6 @@ class LefschetzPoly:
                 parts.append(f"{c}*L^{k}")
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"LefschetzPoly({self.coeffs!r})"
-
 
 #: The Lefschetz class itself.
 L = LefschetzPoly.monomial(1)
@@ -230,6 +290,7 @@ def euler_realization(p: LefschetzPoly) -> int:
     return p.evaluate(1)
 
 
+@value_class
 class UVPoly:
     """Exact bivariate integer polynomial in (u, v), as a term map."""
 
@@ -245,12 +306,6 @@ class UVPoly:
             if c != 0:
                 cleaned[(i, j)] = c
         object.__setattr__(self, "terms", dict(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UVPoly is immutable")
-
-    def __reduce__(self):
-        return UVPoly, (self.terms,)
 
     def __add__(self, other: "UVPoly") -> "UVPoly":
         out = dict(self.terms)
@@ -272,9 +327,6 @@ class UVPoly:
                 out[key] = out.get(key, 0) + c * d
         return UVPoly(out)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UVPoly) and self.terms == other.terms
-
     def __hash__(self) -> int:
         return hash(("UVPoly", tuple(sorted(self.terms.items()))))
 
@@ -295,15 +347,13 @@ class UVPoly:
             parts.append(f"{c}*{mon}" if mon else str(c))
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"UVPoly({self.terms!r})"
-
 
 def e_polynomial(p: LefschetzPoly) -> UVPoly:
     """Substitute L -> u*v.  Symmetric in (u, v) by construction."""
     return UVPoly({(k, k): c for k, c in enumerate(p.coeffs) if c != 0})
 
 
+@value_class
 class KeyedClass:
     """A finite family of LefschetzPoly values indexed by monodromy order.
 
@@ -328,12 +378,6 @@ class KeyedClass:
                 cleaned[key] = poly
         object.__setattr__(self, "entries", dict(cleaned))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("KeyedClass is immutable")
-
-    def __reduce__(self):
-        return KeyedClass, (self.entries,)
-
     def __add__(self, other: "KeyedClass") -> "KeyedClass":
         out = dict(self.entries)
         for key, poly in other.entries.items():
@@ -342,9 +386,6 @@ class KeyedClass:
 
     def __sub__(self, other: "KeyedClass") -> "KeyedClass":
         return self + KeyedClass({key: -poly for key, poly in other.entries.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KeyedClass) and self.entries == other.entries
 
     def __hash__(self) -> int:
         return hash(("KeyedClass", tuple(sorted((k, p.coeffs) for k, p in self.entries.items()))))
@@ -364,16 +405,15 @@ class KeyedClass:
         inner = ", ".join(f"{k}: {p}" for k, p in self)
         return "{" + inner + "}"
 
-    def __repr__(self) -> str:
-        return f"KeyedClass({self.entries!r})"
 
-
+@value_class
 class ZetaFactorization:
     """A product of factors (1 - t^N)^e, kept in normal form.
 
     Orders N are positive integers, exponents e are nonzero integers, and
     factors are sorted by strictly increasing order.  Construction normalizes
-    an arbitrary multiset of (order, exponent) pairs.
+    an arbitrary multiset of (order, exponent) pairs, so equality, which
+    compares normal forms, coincides with rational-function equality.
     """
 
     __slots__ = ("factors",)
@@ -388,19 +428,6 @@ class ZetaFactorization:
             merged[order] = merged.get(order, 0) + exponent
         normal = tuple((n, e) for n, e in sorted(merged.items()) if e != 0)
         object.__setattr__(self, "factors", normal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZetaFactorization is immutable")
-
-    def __reduce__(self):
-        return ZetaFactorization, (self.factors,)
-
-    def __eq__(self, other) -> bool:
-        """Normal-form equality; coincides with rational-function equality."""
-        return isinstance(other, ZetaFactorization) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(("ZetaFactorization", self.factors))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.factors)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 from math import comb
 
 import pytest
@@ -167,6 +168,22 @@ class TestApplyBlowup:
             ("E", "y"): L,
             ("E", "x", "y"): ONE,
         }
+        assert check_invariance(model, center).all_invariant
+
+    def test_strata_the_center_misses_are_kept(self):
+        # the centre meets {x} only: {x, y} contains K = {x} but has no piece
+        model = NCModel(
+            3, "global",
+            [Component("x", 2), Component("y", 1)],
+            [Stratum({"x"}, L * LM1), Stratum({"y"}, L * LM1), Stratum({"x", "y"}, L)],
+        )
+        center = CenterSpec(("x",), ("y",), 2, {frozenset(): LM1}, "E")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blown = apply_blowup(model, center)
+        assert blown.strata[0] == Stratum({"x"}, L * LM1 - LM1)
+        assert blown.strata[1] is model.strata[1]
+        assert blown.strata[2] is model.strata[2]
         assert check_invariance(model, center).all_invariant
 
     def test_local_center_outside_tracked_locus(self):

@@ -71,6 +71,37 @@ class TestValidate:
         assert "line" in err
 
 
+class TestNonUtf8Input:
+    """A model or centre file that is not UTF-8 is an input error naming the
+    file, not a traceback."""
+
+    @pytest.fixture
+    def bad_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        return str(path)
+
+    def assert_names_file(self, capsys, argv, path):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "zeta", "motivic"])
+    def test_model_file(self, capsys, bad_path, command):
+        self.assert_names_file(capsys, [command, bad_path], bad_path)
+
+    def test_blowup_center(self, capsys, tmp_path, xy_path, bad_path):
+        out = str(tmp_path / "out.json")
+        self.assert_names_file(capsys, ["blowup", xy_path, "--center", bad_path,
+                                        "--out", out], bad_path)
+        assert not Path(out).exists()
+
+    def test_invariance_center(self, capsys, xy_path, bad_path):
+        self.assert_names_file(capsys, ["invariance", xy_path, "--center", bad_path],
+                               bad_path)
+
+
 class TestReports:
     def test_census(self, capsys, xy_path):
         code, out, _ = run(capsys, "census", xy_path, "--stratum", "x,y")
@@ -214,6 +245,17 @@ class TestNumericCommands:
         assert "max gap" in out
         last = [line for line in out.splitlines() if line.startswith("max gap")][0]
         assert float(last.split()[-1]) < 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--point", "[[0,0],[0,0]]"],
+        ["monodromy-demo", "--point", json.dumps(XY_POINT)],
+    ], ids=["recover", "monodromy-demo"])
+    @pytest.mark.parametrize("chart", ["-1", "1"])
+    def test_chart_out_of_range(self, capsys, xy_path, argv, chart):
+        code, out, err = run(capsys, argv[0], xy_path, "--chart", chart, *argv[1:])
+        assert code == 2
+        assert err == f"error: model has no chart {chart}\n"
+        assert out == ""
 
     def test_recover_bad_point(self, capsys, tmp_path):
         path = tmp_path / "m.json"

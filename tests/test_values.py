@@ -158,7 +158,7 @@ class TestNCModel:
             assert require_valid(again) is again
 
 
-# the value types that write their own __eq__ and __hash__
+# the value types that compute a normal form in their own __init__
 OTHER_VALUES = [
     LefschetzPoly((1, 2)),
     LefschetzPoly(()),
@@ -177,3 +177,15 @@ def test_value_type_pickle_and_copy(value):
         assert type(again) is type(value)
         assert again == value
         assert repr(again) == repr(value)
+
+
+@pytest.mark.parametrize("value", OTHER_VALUES, ids=lambda v: type(v).__name__)
+def test_value_type_refuses_assignment_and_deletion(value):
+    fresh = copy.deepcopy(value)
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == fresh
+    assert repr(value) == repr(fresh)
