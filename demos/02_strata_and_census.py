@@ -8,6 +8,7 @@ that product into 2^|J| pieces by which factors sit at finite radius.
 
 from ncmilnor import (
     Component,
+    InvalidModelError,
     NCModel,
     Stratum,
     builtin_example,
@@ -15,7 +16,6 @@ from ncmilnor import (
     closure_strata,
     load_model,
     save_model,
-    validate,
 )
 from ncmilnor.ring import L, ONE
 
@@ -31,10 +31,12 @@ for piece in record.pieces:
 print(f"  mixed pieces: {record.mixed_count} of {len(record.pieces)}")
 
 print()
-print("== validation catches hand-editing slips ==")
-broken = NCModel(2, "global", [Component("x", 0)], [Stratum({"x"}, L**2)])
-for violation in validate(broken):
-    print(f"  {violation}")
+print("== a model is checked when it is built ==")
+try:
+    NCModel(2, "global", [Component("x", 0)], [Stratum({"x"}, L**2)])
+except InvalidModelError as exc:
+    for violation in exc.violations:
+        print(f"  {violation}")
 
 print()
 print("== closure poset on a global two-axes model ==")
@@ -43,7 +45,6 @@ global_xy = NCModel(
     [Component("x", 1), Component("y", 1)],
     [Stratum({"x"}, L - ONE), Stratum({"y"}, L - ONE), Stratum({"x", "y"}, ONE)],
 )
-assert validate(global_xy) == []
 for subset in ({"x"}, {"y"}, {"x", "y"}):
     closure = closure_strata(global_xy, subset)
     pretty = sorted("{" + ", ".join(sorted(k)) + "}" for k in closure)

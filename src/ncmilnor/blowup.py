@@ -44,7 +44,6 @@ from .model import (
     int_field,
     parse_json,
     require_keys,
-    require_valid,
 )
 from .ring import KeyedClass, LefschetzPoly, ZetaFactorization, value_class, zeta_equal
 
@@ -183,13 +182,14 @@ def _subsets(items: Iterable[str]) -> list[frozenset[str]]:
 
 
 def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
-    """Transform the model by blowing up the centre.  The result is validated.
+    """Transform the model by blowing up the centre.  The result is a valid
+    model, or ``InvalidModelError`` if it would break an invariant (say, an
+    exceptional multiplicity over ``MAX_INT_DIGITS`` digits).
 
     A warning is emitted when subtracting a centre class leaves a stratum
     class with negative leading coefficient, which no variety class has;
     that normally indicates inconsistent input data.
     """
-    require_valid(model)
     problems = validate_center(model, center)
     if problems:
         raise InvalidModelError(problems)
@@ -230,7 +230,7 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
                     {center.new_component_id} | q_subset | rest, cls))
 
     # chart data describes the old coordinates and does not transform
-    return require_valid(NCModel(model.ambient_dim, model.mode, components, strata))
+    return NCModel(model.ambient_dim, model.mode, components, strata)
 
 
 @value_class

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .model import (
     BUILTIN_NAMES,
+    InvalidModelError,
     ModelError,
     ModelParseError,
     NCModel,
@@ -28,7 +29,6 @@ from .model import (
     load_model,
     parse_json,
     save_model,
-    validate,
 )
 
 OK, UNEQUAL, INPUT_ERROR = 0, 1, 2
@@ -73,8 +73,11 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _cmd_validate(args) -> int:
-    model = load_model(_read_text(args.model), check=False)
-    problems = validate(model)
+    problems = ()
+    try:
+        load_model(_read_text(args.model))
+    except InvalidModelError as exc:
+        problems = exc.violations
     payload = {"command": "validate", "violations": [
         {"where": v.where, "problem": v.problem} for v in problems]}
     if problems:

@@ -54,7 +54,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .model import NCModel, UnknownStratumError, require_valid
+from .model import NCModel, UnknownStratumError
 from .ring import (
     ONE,
     ZERO,
@@ -85,7 +85,6 @@ class PsiData:
 
 def motivic_terms(model: NCModel) -> list[MotivicTerm]:
     """One term per present stratum, in sorted subset order."""
-    require_valid(model)
     terms = []
     for stratum in model.strata:
         subset = tuple(sorted(stratum.components))
@@ -118,7 +117,6 @@ def absolute_from_keyed(keyed: KeyedClass) -> LefschetzPoly:
 def keyed_class(model: NCModel) -> KeyedClass:
     """Group terms by monodromy order; see the module note on non-invariance
     and on the (order, |J|) buckets."""
-    require_valid(model)
     sums: dict[tuple[int, int], LefschetzPoly] = {}
     for stratum in model.strata:
         ids = stratum.components
@@ -140,7 +138,6 @@ def acampo_zeta(model: NCModel) -> ZetaFactorization:
     """Monodromy zeta factorization prod (1 - t^(N_i))^(chi_i) over components,
     chi_i the Euler number of the open stratum of component i.  Components
     whose open stratum has Euler number zero contribute no factor."""
-    require_valid(model)
     return ZetaFactorization(
         (comp.multiplicity, euler_realization(model.stratum_class({comp.id})))
         for comp in model.components
@@ -153,7 +150,6 @@ def milnor_fibre_euler(model: NCModel) -> int:
     Matches the zeta convention above; meaningful for local-mode models,
     where the stratum classes sit over the tracked point.
     """
-    require_valid(model)
     return sum(
         comp.multiplicity * euler_realization(model.stratum_class({comp.id}))
         for comp in model.components
@@ -195,7 +191,6 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def psi_data(model: NCModel, subset: Iterable[str]) -> PsiData:
     """Bezout trivialization data for a present stratum, in sorted id order."""
-    require_valid(model)
     key = frozenset(subset)
     # a valid model stores no zero class, so zero means absent
     if model.stratum_class(key).is_zero:

@@ -18,6 +18,9 @@ geometry enters only through these classes.  A subset absent from the
 stratum list is the empty stratum (class zero); explicit zero classes are
 rejected so that presence always means nonempty.
 
+An ``NCModel`` is valid by construction: building one runs ``validate`` and
+raises ``InvalidModelError``, so the realizations never check a model again.
+
 The on-disk form is a strict JSON document (unknown fields rejected), see
 ``load_model`` / ``save_model``.  Both run mostly at C speed on large
 documents.  ``save_model`` writes the indent=2 layout itself, and its bytes
@@ -54,6 +57,26 @@ LOCAL = "local"
 #: blow-up codimensions are bounded by the ambient dimension, so this one
 #: limit bounds every dense class the package builds from a document.
 MAX_AMBIENT_DIM = 4096
+
+#: Most decimal digits of a multiplicity or class coefficient.  Python
+#: converts integers of at most 4,300 digits to and from text
+#: (``sys.get_int_max_str_digits``), and this bound keeps every value the
+#: package derives from a valid model below that:
+#:
+#: * the Euler number sum N_i * chi_i: chi_i sums at most 4,097 coefficients,
+#:   so N_i * chi_i stays under 2,004 digits, and the sum over components
+#:   under about 2,010;
+#: * keyed and absolute class coefficients: each stratum class is multiplied
+#:   by (L-1)^k with k < 4,096, whose binomial coefficients have at most 1,233
+#:   digits, and the sum over strata stays under about 2,250 digits;
+#: * the zeta factorization: its orders are multiplicities and its exponents
+#:   Euler numbers of single classes.
+#:
+#: A blow-up adds a component of multiplicity N_E = sum of N_i over K, and
+#: the blown model is checked like any other, so a chain whose N_E crosses the
+#: bound stops with an ``InvalidModelError`` naming the new component.
+MAX_INT_DIGITS = 1000
+_INT_BOUND = 10**MAX_INT_DIGITS  # the least integer with too many digits
 
 
 class ModelError(ValueError):
@@ -192,17 +215,16 @@ class Chart:
 class NCModel:
     """Components, strata and charts of a normal-crossing model.
 
-    The instance is immutable, so its lookups are indexed once, at
-    construction: ``multiplicity`` and ``stratum_class`` are dict lookups.
-    Where an invalid model repeats a component id or a stratum subset, the
-    first entry wins.  Validity is memoised too: ``require_valid`` runs
-    ``validate`` on the first call for an instance and reuses its verdict,
-    failure included, on every later call.  Equality compares the five
-    fields only.
+    An instance is valid by construction: ``__init__`` runs ``validate`` and
+    raises ``InvalidModelError`` with the violations, so code that holds an
+    ``NCModel`` need not check it again.  The instance is immutable, so its
+    lookups are indexed once, at construction: ``multiplicity`` and
+    ``stratum_class`` are dict lookups.  Equality compares the five fields
+    only.
     """
 
     __slots__ = ("ambient_dim", "mode", "components", "strata", "charts",
-                 "_multiplicities", "_classes", "_violations")
+                 "_multiplicities", "_classes")
 
     def __init__(self, ambient_dim: int, mode: str, components: Iterable[Component],
                  strata: Iterable[Stratum], charts: Iterable[Chart] = ()):
@@ -211,16 +233,12 @@ class NCModel:
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "strata", tuple(strata))
         object.__setattr__(self, "charts", tuple(charts))
-        multiplicities: dict[str, int] = {}
-        for c in self.components:
-            multiplicities.setdefault(c.id, c.multiplicity)
-        classes: dict[frozenset[str], LefschetzPoly] = {}
-        for s in self.strata:
-            classes.setdefault(s.components, s.cls)
-        object.__setattr__(self, "_multiplicities", multiplicities)
-        object.__setattr__(self, "_classes", classes)
-        # violations found by the first require_valid call; None until then
-        object.__setattr__(self, "_violations", None)
+        object.__setattr__(self, "_multiplicities",
+                           {c.id: c.multiplicity for c in self.components})
+        object.__setattr__(self, "_classes", {s.components: s.cls for s in self.strata})
+        violations = validate(self)
+        if violations:
+            raise InvalidModelError(violations)
 
     # -- lookups
 
@@ -241,8 +259,14 @@ class NCModel:
 # ---------------------------------------------------------------------------
 # validation
 
+# slot getters, with which validate reads every class coefficient at C level
+_stratum_cls, _poly_coeffs = Stratum.cls.__get__, LefschetzPoly.coeffs.__get__
+
+
 def validate(model: NCModel) -> list[Violation]:
-    """Check every invariant; the returned list is empty iff the model is valid."""
+    """Every invariant violation of the model's fields, in field order; the
+    list is empty iff the fields make a valid model.  ``NCModel`` runs this
+    on construction, so an existing instance always yields ``[]``."""
     out: list[Violation] = []
     if model.ambient_dim < 1:
         out.append(Violation("ambient_dim", f"must be positive, got {model.ambient_dim}"))
@@ -260,9 +284,17 @@ def validate(model: NCModel) -> list[Violation]:
         if comp.id in seen_ids:
             out.append(Violation(where, "duplicate component id"))
         seen_ids.add(comp.id)
-        if comp.multiplicity < 1:
+        # the digit test comes first: a too-long integer has no decimal text
+        if abs(comp.multiplicity) >= _INT_BOUND:
+            out.append(Violation(
+                where, f"multiplicity has more than {MAX_INT_DIGITS} digits"))
+        elif comp.multiplicity < 1:
             out.append(Violation(where, f"multiplicity must be >= 1, got {comp.multiplicity}"))
 
+    # one pass over every coefficient; strata are tested one by one only if
+    # some coefficient is too long
+    long_coeffs = max(map(abs, chain.from_iterable(map(_poly_coeffs, map(
+        _stratum_cls, model.strata)))), default=0) >= _INT_BOUND
     seen_subsets: set[frozenset[str]] = set()
     for idx, stratum in enumerate(model.strata):
         ids = stratum.components
@@ -284,6 +316,8 @@ def validate(model: NCModel) -> list[Violation]:
             if stratum.cls.degree > bound:
                 problems.append(
                     f"class degree {stratum.cls.degree} exceeds dimension bound {bound}")
+            if long_coeffs and max(map(abs, stratum.cls.coeffs)) >= _INT_BOUND:
+                problems.append(f"class coefficient has more than {MAX_INT_DIGITS} digits")
         if problems:
             # the locator sorts the ids, so it is built for failing strata only
             where = f"strata[{idx}] ({{{', '.join(sorted(ids))}}})"
@@ -304,22 +338,9 @@ def validate(model: NCModel) -> list[Violation]:
     return out
 
 
-def require_valid(model: NCModel) -> NCModel:
-    """Return ``model`` if it is valid, else raise ``InvalidModelError``.
-    ``validate`` runs once per instance; later calls reuse its result."""
-    violations = model._violations
-    if violations is None:
-        violations = tuple(validate(model))
-        object.__setattr__(model, "_violations", violations)
-    if violations:
-        raise InvalidModelError(violations)
-    return model
-
-
 def _check_subset(model: NCModel, subset: Iterable[str]) -> frozenset[str]:
     key = frozenset(subset)
-    known = set(model.component_ids())
-    unknown = key - known
+    unknown = [cid for cid in key if cid not in model._multiplicities]
     if unknown:
         raise UnknownComponentError(f"unknown component ids {sorted(unknown)}")
     return key
@@ -506,10 +527,10 @@ def _strata_well_formed(items: list) -> bool:
             and set(map(type, chain.from_iterable(classes))) <= {int})
 
 
-def load_model(text: str, check: bool = True) -> NCModel:
-    """Parse a model document.  With ``check`` (the default), invariant
-    violations raise ``InvalidModelError``; parse and schema problems raise
-    ``ModelParseError`` regardless."""
+def load_model(text: str) -> NCModel:
+    """Parse a model document.  Parse and schema problems raise
+    ``ModelParseError``; a well-formed document that breaks an invariant
+    raises ``InvalidModelError`` from the ``NCModel`` it builds."""
     doc = parse_json(text)
     require_keys(doc, ("ambient_dim", "mode", "components", "strata"), ("charts",), "document")
     if not isinstance(doc["mode"], str):
@@ -559,11 +580,8 @@ def load_model(text: str, check: bool = True) -> NCModel:
         charts.append(Chart(int_field(item, "dim", where), coords,
                             _unit_from_json(item["unit"], where)))
 
-    model = NCModel(int_field(doc, "ambient_dim", "document"), doc["mode"],
-                    components, strata, charts)
-    if check:
-        require_valid(model)
-    return model
+    return NCModel(int_field(doc, "ambient_dim", "document"), doc["mode"],
+                   components, strata, charts)
 
 
 def _layout(encoded: Iterable[str], depth: int, brackets: str = "[]") -> str:
@@ -707,7 +725,7 @@ def cusp_resolved_model() -> NCModel:
 
 
 def builtin_example(name: str) -> NCModel:
-    """Return a validated built-in model by name.
+    """Return a built-in model by name.
 
     Names: ``smooth``, ``xy``, ``cusp_resolved``, ``power_<N>`` and
     ``xa_yb_<a>_<b>`` (for example ``power_3`` or ``xa_yb_2_3``).
@@ -731,7 +749,7 @@ def builtin_example(name: str) -> NCModel:
         model = two_axes_model(a, b)
     else:
         raise ModelError(f"unknown example {name!r}")
-    return require_valid(model)
+    return model
 
 
 BUILTIN_NAMES = ("smooth", "xy", "cusp_resolved", "power_<N>", "xa_yb_<a>_<b>")

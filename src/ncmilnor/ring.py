@@ -43,6 +43,14 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 
+def _field_repr(value) -> str:
+    """``repr(value)``, except that a nonempty frozenset lists its elements
+    sorted: its own order changes with the hash seed and with copying."""
+    if value.__class__ is frozenset and value:
+        return f"frozenset({{{', '.join(map(repr, sorted(value)))}}})"
+    return repr(value)
+
+
 def value_class(cls: type) -> type:
     """Complete a class that lists its fields in ``__slots__`` the way
     ``@dataclass(frozen=True)`` would, at a fraction of the import cost.
@@ -58,7 +66,9 @@ def value_class(cls: type) -> type:
       fields, and the matching ``hash``, on the tuple of field values, or on
       the bare value of a single field; a class's own ``__hash__`` is kept;
     * the dataclass repr ``Name(field=value!r, ...)``, and ``Name(value!r)``
-      for a single field; a class's own ``__repr__`` is kept;
+      for a single field, in which a frozenset lists its elements sorted, so
+      the text does not depend on the hash seed; a class's own ``__repr__``
+      is kept;
     * ``AttributeError`` on assignment and deletion;
     * ``__reduce__``, which rebuilds an instance by calling the class with
       its field values, so ``pickle``, ``copy`` and ``deepcopy`` work.
@@ -89,7 +99,8 @@ def value_class(cls: type) -> type:
         return hash(values(self))
 
     def __repr__(self):
-        body = ", ".join(f"{label}{value!r}" for label, value in zip(labels, args(self)))
+        body = ", ".join(f"{label}{_field_repr(value)}"
+                         for label, value in zip(labels, args(self)))
         return f"{self.__class__.__qualname__}({body})"
 
     def __setattr__(self, name, value):

@@ -19,7 +19,13 @@ from ncmilnor.blowup import (
     telescoping_check,
     validate_center,
 )
-from ncmilnor.milnor import keyed_class, motivic_terms
+from ncmilnor.milnor import (
+    acampo_zeta,
+    keyed_class,
+    milnor_fibre_euler,
+    motivic_terms,
+    psi_data,
+)
 from ncmilnor.model import (
     Component,
     InvalidModelError,
@@ -337,18 +343,39 @@ def arrangement(n):
 
 
 class TestValidateOnce:
-    def test_check_invariance_validates_each_model_once(self, monkeypatch):
+    """Models are checked when they are built, and only then."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
         seen = []
 
         def counting(model):
             seen.append(model)
             return validate(model)
 
+        # NCModel looks validate up in its module on every construction
         monkeypatch.setattr("ncmilnor.model.validate", counting)
-        report = check_invariance(arrangement(4), point_center(["x0", "x1"], codim=4))
+        return seen
+
+    def test_check_invariance_validates_each_model_once(self, seen):
+        model = arrangement(4)
+        assert seen == [model]
+        report = check_invariance(model, point_center(["x0", "x1"], codim=4))
         assert report.all_invariant
-        assert len(seen) <= 2
-        assert len({id(m) for m in seen}) == len(seen)
+        # the model when it was built, then the blown model
+        assert len(seen) == 2
+        assert seen[0] is model and seen[1] is not model
+        assert "E" in seen[1].component_ids()
+
+    def test_realizations_do_not_validate(self, seen):
+        model = builtin_example("cusp_resolved")
+        seen.clear()
+        keyed_class(model)
+        acampo_zeta(model)
+        milnor_fibre_euler(model)
+        motivic_terms(model)
+        psi_data(model, {"e2", "e6"})
+        assert seen == []
 
 
 def count_products(monkeypatch, fn, *args):

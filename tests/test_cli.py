@@ -225,6 +225,79 @@ class TestBlowupFlow:
         assert "tracked locus" in err
 
 
+# single-field corruptions of the xy document (the path of keys and indexes
+# to the field, its new value), and what validate prints
+CORRUPTIONS = {
+    "zero-multiplicity": ((("components", 0, "multiplicity"), 0), [
+        "components[0] ('x'): multiplicity must be >= 1, got 0"]),
+    "duplicate-id": ((("components", 1, "id"), "x"), [
+        "components[1] ('x'): duplicate component id",
+        "strata[0] ({x, y}): unknown component ids ['y']",
+        "charts[0]: unknown component id 'y'"]),
+    "unknown-member": ((("strata", 0, "components"), ["x", "ghost"]), [
+        "strata[0] ({ghost, x}): unknown component ids ['ghost']"]),
+    "zero-class": ((("strata", 0, "class"), [0]), [
+        "strata[0] ({x, y}): empty stratum must be omitted, not stored with class 0"]),
+    "degree-over-bound": ((("strata", 0, "class"), [0, 1]), [
+        "strata[0] ({x, y}): class degree 1 exceeds dimension bound 0"]),
+    "long-multiplicity": ((("components", 0, "multiplicity"), 10**1000), [
+        "components[0] ('x'): multiplicity has more than 1000 digits"]),
+}
+
+# every subcommand that reads a model, with the arguments after the model;
+# ORIGIN and OUT stand for a centre file and an output path
+MODEL_COMMANDS = {
+    "validate": [],
+    "census": ["--stratum", "x,y"],
+    "zeta": [],
+    "euler": [],
+    "motivic": [],
+    "blowup": ["--center", "ORIGIN", "--out", "OUT"],
+    "invariance": ["--center", "ORIGIN"],
+    "recover": ["--point", "[[0,0],[0,0]]"],
+    "monodromy-demo": ["--point", json.dumps(XY_POINT)],
+}
+
+
+class TestInvalidDocuments:
+    """A document that breaks an invariant is an input error for every
+    subcommand that reads it, never a traceback."""
+
+    @pytest.fixture(params=CORRUPTIONS, ids=list(CORRUPTIONS))
+    def corrupted(self, request, tmp_path):
+        ((*keys, last), value), expected = CORRUPTIONS[request.param]
+        doc = json.loads(save_model(builtin_example("xy")))
+        field = doc
+        for key in keys:
+            field = field[key]
+        field[last] = value
+        model_path = tmp_path / "corrupt.json"
+        model_path.write_text(json.dumps(doc))
+        return str(model_path), expected
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_exits_2(self, capsys, tmp_path, origin_path, corrupted, command):
+        model_path, expected = corrupted
+        out_path = tmp_path / "out.json"
+        files = {"ORIGIN": origin_path, "OUT": str(out_path)}
+        rest = [files.get(arg, arg) for arg in MODEL_COMMANDS[command]]
+        code, out, err = run(capsys, command, model_path, *rest)
+        assert code == 2
+        assert "Traceback" not in err
+        assert not out_path.exists()
+        if command == "validate":
+            assert out.splitlines() == expected and err == ""
+        else:
+            assert out == "" and err == f"error: {'; '.join(expected)}\n"
+
+    def test_validate_json(self, capsys, corrupted):
+        model_path, expected = corrupted
+        code, out, _ = run(capsys, "--json", "validate", model_path)
+        assert code == 2
+        payload = json.loads(out)
+        assert [f"{v['where']}: {v['problem']}" for v in payload["violations"]] == expected
+
+
 class TestNumericCommands:
     def test_recover(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -11,6 +11,7 @@ from ncmilnor.blowup import CenterSpec, apply_blowup, point_center
 from ncmilnor.milnor import keyed_class, motivic_terms, naive_absolute_class
 from ncmilnor.model import (
     MAX_AMBIENT_DIM,
+    MAX_INT_DIGITS,
     Chart,
     Component,
     InvalidModelError,
@@ -25,6 +26,7 @@ from ncmilnor.model import (
     closure_strata,
     load_model,
     save_model,
+    two_axes_model,
     validate,
 )
 from ncmilnor.ring import KeyedClass, LefschetzPoly, euler_realization
@@ -37,60 +39,65 @@ def xy_model():
     return builtin_example("xy")
 
 
+def violations(*args):
+    """The violations, as text, with which building ``NCModel(*args)`` fails."""
+    with pytest.raises(InvalidModelError) as exc:
+        NCModel(*args)
+    return [str(v) for v in exc.value.violations]
+
+
 class TestValidate:
     def test_xy_clean(self):
         assert validate(xy_model()) == []
 
     def test_zero_multiplicity(self):
-        m = NCModel(2, "local", [Component("x", 0)], [Stratum({"x"}, ONE)])
-        problems = validate(m)
-        assert len(problems) == 1
-        assert "multiplicity" in problems[0].problem
+        assert violations(2, "local", [Component("x", 0)], [Stratum({"x"}, ONE)]) == [
+            "components[0] ('x'): multiplicity must be >= 1, got 0"]
 
     def test_dimension_bound(self):
-        m = NCModel(2, "global", [Component("x", 1)], [Stratum({"x"}, LefschetzPoly.monomial(3))])
-        problems = validate(m)
-        assert len(problems) == 1
-        assert "dimension bound" in problems[0].problem
+        assert violations(2, "global", [Component("x", 1)],
+                          [Stratum({"x"}, LefschetzPoly.monomial(3))]) == [
+            "strata[0] ({x}): class degree 3 exceeds dimension bound 1"]
 
     def test_duplicate_component(self):
-        m = NCModel(2, "global", [Component("x", 1), Component("x", 2)],
-                    [Stratum({"x"}, ONE)])
-        assert any("duplicate component id" in v.problem for v in validate(m))
+        assert violations(2, "global", [Component("x", 1), Component("x", 2)],
+                          [Stratum({"x"}, ONE)]) == [
+            "components[1] ('x'): duplicate component id"]
 
     def test_unknown_stratum_member(self):
-        m = NCModel(2, "global", [Component("x", 1)], [Stratum({"x", "ghost"}, ONE)])
-        assert any("unknown component" in v.problem for v in validate(m))
+        assert violations(2, "global", [Component("x", 1)],
+                          [Stratum({"x", "ghost"}, ONE)]) == [
+            "strata[0] ({ghost, x}): unknown component ids ['ghost']"]
 
     def test_explicit_zero_class_rejected(self):
-        m = NCModel(2, "global", [Component("x", 1)], [Stratum({"x"}, LefschetzPoly())])
-        assert any("omitted" in v.problem for v in validate(m))
+        assert violations(2, "global", [Component("x", 1)],
+                          [Stratum({"x"}, LefschetzPoly())]) == [
+            "strata[0] ({x}): empty stratum must be omitted, not stored with class 0"]
 
     def test_bad_mode_and_dim(self):
-        m = NCModel(0, "sideways", [], [])
-        problems = {v.where for v in validate(m)}
-        assert problems == {"ambient_dim", "mode"}
+        assert violations(0, "sideways", [], []) == [
+            "ambient_dim: must be positive, got 0",
+            "mode: must be 'global' or 'local', got 'sideways'"]
 
     def test_oversized_subset(self):
-        m = NCModel(1, "global", [Component("x", 1), Component("y", 1)],
-                    [Stratum({"x", "y"}, ONE)])
-        assert any("exceeds ambient_dim" in v.problem for v in validate(m))
+        assert violations(1, "global", [Component("x", 1), Component("y", 1)],
+                          [Stratum({"x", "y"}, ONE)]) == [
+            "strata[0] ({x, y}): |J| = 2 exceeds ambient_dim 1",
+            "strata[0] ({x, y}): class degree 0 exceeds dimension bound -1"]
 
     def test_ambient_dim_limit(self):
         assert MAX_AMBIENT_DIM == 4096
         at_limit = NCModel(4096, "global", [Component("x", 1)], [Stratum({"x"}, ONE)])
         assert validate(at_limit) == []
-        over = NCModel(4097, "global", [Component("x", 1)], [Stratum({"x"}, ONE)])
-        assert [str(v) for v in validate(over)] == [
+        assert violations(4097, "global", [Component("x", 1)], [Stratum({"x"}, ONE)]) == [
             "ambient_dim: must be at most 4096, got 4097"]
 
     def test_several_problems_on_one_stratum_in_order(self):
-        m = NCModel(1, "global", [Component("x", 1)], [
+        assert violations(1, "global", [Component("x", 1)], [
             Stratum({"x"}, ONE),
             Stratum({"x", "ghost"}, LefschetzPoly()),
             Stratum({"ghost", "x"}, LefschetzPoly()),
-        ])
-        assert [str(v) for v in validate(m)] == [
+        ]) == [
             "strata[1] ({ghost, x}): unknown component ids ['ghost']",
             "strata[1] ({ghost, x}): |J| = 2 exceeds ambient_dim 1",
             "strata[1] ({ghost, x}): empty stratum must be omitted, not stored with class 0",
@@ -99,6 +106,43 @@ class TestValidate:
             "strata[2] ({ghost, x}): |J| = 2 exceeds ambient_dim 1",
             "strata[2] ({ghost, x}): empty stratum must be omitted, not stored with class 0",
         ]
+
+
+BIG = 10**MAX_INT_DIGITS  # 1,001 digits, the least integer over the bound
+
+
+class TestIntegerDigits:
+    def test_bound(self):
+        assert MAX_INT_DIGITS == 1000
+        at_bound = BIG - 1
+        model = NCModel(1, "local", [Component("x", at_bound)],
+                        [Stratum({"x"}, LefschetzPoly((-at_bound,)))])
+        assert validate(model) == []
+
+    @pytest.mark.parametrize("value", [BIG, -BIG], ids=["positive", "negative"])
+    def test_long_multiplicity(self, value):
+        assert violations(1, "local", [Component("x", value)], [Stratum({"x"}, ONE)]) == [
+            "components[0] ('x'): multiplicity has more than 1000 digits"]
+
+    @pytest.mark.parametrize("value", [BIG, -BIG], ids=["positive", "negative"])
+    def test_long_class_coefficient(self, value):
+        assert violations(2, "global", [Component("x", 1), Component("y", 1)], [
+            Stratum({"x"}, LefschetzPoly((1, value))),
+            Stratum({"x", "y"}, ONE),
+            Stratum({"y"}, LefschetzPoly((value, 1, 1))),
+        ]) == [
+            "strata[0] ({x}): class coefficient has more than 1000 digits",
+            "strata[2] ({y}): class degree 2 exceeds dimension bound 1",
+            "strata[2] ({y}): class coefficient has more than 1000 digits",
+        ]
+
+    def test_blowup_past_the_bound_names_the_new_component(self):
+        half = BIG // 2 + 1
+        model = two_axes_model(half, half)
+        with pytest.raises(InvalidModelError) as exc:
+            apply_blowup(model, point_center(["x", "y"], codim=2))
+        assert [str(v) for v in exc.value.violations] == [
+            "components[2] ('E'): multiplicity has more than 1000 digits"]
 
 
 class TestCensus:
@@ -199,12 +243,6 @@ class TestDocuments:
         doc["components"].append({"id": "x", "multiplicity": 1})
         with pytest.raises(InvalidModelError, match="duplicate"):
             load_model(json.dumps(doc))
-
-    def test_check_false_defers_validation(self):
-        doc = json.loads(save_model(xy_model()))
-        doc["components"][0]["multiplicity"] = 0
-        m = load_model(json.dumps(doc), check=False)
-        assert len(validate(m)) == 1
 
     def test_type_errors(self):
         doc = json.loads(save_model(xy_model()))
@@ -341,7 +379,9 @@ class TestRandomRoundTrip:
 
     @given(valid_models())
     def test_unchecked_load_round_trip(self, model):
-        assert load_model(save_model(model), check=False) == model
+        # writing a loaded document gives back its bytes
+        text = save_model(model)
+        assert save_model(load_model(text)) == text
 
 
 class TestWriterBytes:
@@ -363,12 +403,12 @@ class TestWriterBytes:
             assert_writes_json_dumps_bytes(blown)
 
     def test_empty_containers(self):
-        # an empty stratum subset, a zero class, no components, an empty
-        # chart: invalid, but written the way json.dumps writes them
-        model = NCModel(1, "local", [], [Stratum((), LefschetzPoly())],
-                        [Chart(1, {}, UnitPoly({}))])
+        # no components, no strata and an empty chart, written the way
+        # json.dumps writes them
+        model = NCModel(1, "local", [], [], [Chart(1, {}, UnitPoly({}))])
         assert_writes_json_dumps_bytes(model)
         assert '"components": [],' in save_model(model)
+        assert '"strata": [],' in save_model(model)
         assert '"divisor_coords": {},' in save_model(model)
 
     def test_bool_integer_fields_round_trip(self):
@@ -440,10 +480,10 @@ class TestLoaderMessages:
     def test_zero_class_is_still_rejected(self):
         doc = json.loads(save_model(xy_model()))
         doc["strata"][0]["class"] = [0]
-        with pytest.raises(InvalidModelError, match="empty stratum must be omitted"):
+        with pytest.raises(InvalidModelError) as exc:
             load_model(json.dumps(doc))
-        assert validate(load_model(json.dumps(doc), check=False))[0].problem == (
-            "empty stratum must be omitted, not stored with class 0")
+        assert [v.problem for v in exc.value.violations] == [
+            "empty stratum must be omitted, not stored with class 0"]
 
     @pytest.mark.parametrize("text, message", [
         ("[" * 200_000, "nested too deeply"),
@@ -502,12 +542,6 @@ class TestIndexedLookups:
     def test_keyed_class_is_the_grouped_term_sum(self, model):
         # one product per term, against keyed_class's one per (order, |J|)
         assert keyed_class(model) == grouped_term_sum(model)
-
-    def test_first_duplicate_wins(self):
-        m = NCModel(2, "global", [Component("x", 2), Component("x", 5)],
-                    [Stratum({"x"}, ONE), Stratum({"x"}, LefschetzPoly((0, 1)))])
-        assert m.multiplicity("x") == 2
-        assert m.stratum_class({"x"}) == ONE
 
 
 class TestBuiltins:

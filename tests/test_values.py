@@ -2,10 +2,15 @@
 repr, immutability, and pickle/copy round trips."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncmilnor
 from ncmilnor.blowup import CenterSpec, InvarianceReport, point_center
 from ncmilnor.logspace import (
     ChartContext,
@@ -27,7 +32,7 @@ from ncmilnor.model import (
     UnitPoly,
     Violation,
     builtin_example,
-    require_valid,
+    validate,
 )
 from ncmilnor.ring import ONE, ZERO, KeyedClass, LefschetzPoly, UVPoly, ZetaFactorization
 
@@ -143,11 +148,10 @@ class TestNCModel:
         assert model == NCModel(1, "local", (Component("x", 1),), (Stratum({"x"}, ONE),), ())
 
     def test_equality_ignores_index_and_memo(self):
-        checked = NCModel(1, "local", [Component("x", 1)], [Stratum({"x"}, ONE)])
+        model = NCModel(1, "local", [Component("x", 1)], [Stratum({"x"}, ONE)])
         fresh = NCModel(1, "local", [Component("x", 1)], [Stratum({"x"}, ONE)])
-        require_valid(checked)
-        assert checked == fresh and hash(checked) == hash(fresh)
-        assert "_violations" not in repr(checked) and "_classes" not in repr(checked)
+        assert model == fresh and hash(model) == hash(fresh)
+        assert "_multiplicities" not in repr(model) and "_classes" not in repr(model)
 
     def test_copies_keep_lookups_and_validity(self):
         model = builtin_example("cusp_resolved")
@@ -155,7 +159,7 @@ class TestNCModel:
             assert again == model
             assert again.multiplicity("e6") == 6
             assert again.stratum_class({"e6"}) == LefschetzPoly((-2, 1))
-            assert require_valid(again) is again
+            assert validate(again) == []
 
 
 # the value types that compute a normal form in their own __init__
@@ -189,3 +193,36 @@ def test_value_type_refuses_assignment_and_deletion(value):
             delattr(value, name)
     assert value == fresh
     assert repr(value) == repr(fresh)
+
+
+# reprs of values with frozenset fields, and of their deep copies
+FROZENSET_REPRS = """
+import copy
+from ncmilnor.logspace import Classification
+from ncmilnor.model import Component, NCModel, Stratum
+from ncmilnor.ring import ONE
+ids = ["p", "q", "r", "s", "t", "u"]
+values = [Stratum(ids, ONE), Classification("mixed", frozenset(range(0, 60, 7))),
+          NCModel(6, "global", [Component(i, 1) for i in ids], [Stratum(ids, ONE)])]
+for value in values:
+    print(repr(value))
+    print(repr(copy.deepcopy(value)))
+"""
+
+
+def test_frozenset_fields_repr_sorted_under_any_hash_seed():
+    src = str(Path(ncmilnor.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run([sys.executable, "-c", FROZENSET_REPRS], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(proc.stdout)
+    (text,) = outputs
+    lines = text.splitlines()
+    assert lines[0] == lines[1] == (
+        "Stratum(components=frozenset({'p', 'q', 'r', 's', 't', 'u'}), "
+        "cls=LefschetzPoly((1,)))")
+    assert lines[2] == lines[3] == (
+        "Classification(tag='mixed', finite=frozenset({0, 7, 14, 21, 28, 35, 42, 49, 56}))")
+    assert lines[4] == lines[5] and lines[0] in lines[4]
