@@ -33,6 +33,7 @@ from typing import Iterable, Mapping
 
 from .milnor import absolute_from_keyed, acampo_zeta, keyed_class, milnor_fibre_euler
 from .model import (
+    MAX_STRATA,
     Component,
     InvalidModelError,
     ModelParseError,
@@ -45,7 +46,7 @@ from .model import (
     parse_json,
     require_keys,
 )
-from .ring import KeyedClass, LefschetzPoly, ZetaFactorization, value_class, zeta_equal
+from .ring import ONE, KeyedClass, LefschetzPoly, ZetaFactorization, value_class
 
 
 @value_class
@@ -55,9 +56,11 @@ class CenterSpec:
     ``center_strata`` maps each transverse subset R (a frozenset drawn from
     ``transverse``) to the class of the centre's intersection with the
     stratum on ``containing + R``.  Subsets with empty intersection are
-    simply omitted.  In a local-mode model these classes are classes over
-    the tracked point, so a centre outside the tracked locus has no legal
-    description: every listed piece must hit a present stratum.
+    simply omitted, and the pieces are stored in sorted-subset order, the
+    order in which every reader visits them.  In a local-mode model these
+    classes are classes over the tracked point, so a centre outside the
+    tracked locus has no legal description: every listed piece must hit a
+    present stratum.
     """
 
     __slots__ = ("containing", "transverse", "codim", "center_strata", "new_component_id")
@@ -75,7 +78,8 @@ class CenterSpec:
                     [Violation("center_strata", f"duplicate subset {sorted(key)}")])
             if not cls.is_zero:
                 cleaned[key] = cls
-        object.__setattr__(self, "center_strata", cleaned)
+        object.__setattr__(self, "center_strata",
+                           dict(sorted(cleaned.items(), key=lambda kv: sorted(kv[0]))))
         object.__setattr__(self, "new_component_id", str(new_component_id))
 
     def __repr__(self) -> str:
@@ -93,7 +97,7 @@ def point_center(model_component_ids: Iterable[str], codim: int,
         containing=model_component_ids,
         transverse=(),
         codim=codim,
-        center_strata={frozenset(): LefschetzPoly.one()},
+        center_strata={frozenset(): ONE},
         new_component_id=new_component_id,
     )
 
@@ -123,9 +127,16 @@ def validate_center(model: NCModel, center: CenterSpec) -> list[Violation]:
             "center.new_component_id", f"{center.new_component_id!r} already in use"))
     if not center.center_strata:
         out.append(Violation("center.center_strata", "centre has no nonzero stratum class"))
+    # the blown model keeps at most the old strata and adds up to 2^|K| per
+    # centre piece; counted here, before apply_blowup builds a subset
+    if len(model.strata) + (len(center.center_strata) << k_size) > MAX_STRATA:
+        out.append(Violation(
+            "center", f"blow-up would build up to {len(model.strata)} + "
+                      f"{len(center.center_strata)} * 2^{k_size} strata, "
+                      f"more than {MAX_STRATA}"))
 
     center_dim = model.ambient_dim - center.codim
-    for subset, cls in sorted(center.center_strata.items(), key=lambda kv: sorted(kv[0])):
+    for subset, cls in center.center_strata.items():
         where = f"center_strata[{{{', '.join(sorted(subset))}}}]"
         if not subset <= center.transverse:
             out.append(Violation(where, "subset not contained in the transverse set"))
@@ -220,7 +231,7 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
     # the fibre class depends on |Q| only
     fibres = [exceptional_fibre_strata(center.codim, len(k_ids), size)
               for size in range(len(k_ids) + 1)]
-    for rest, centre_cls in sorted(center.center_strata.items(), key=lambda kv: sorted(kv[0])):
+    for rest, centre_cls in center.center_strata.items():
         # so is the exceptional class: one product per (R, |Q|)
         pieces = [centre_cls * fibre for fibre in fibres]
         for q_subset in q_subsets:
@@ -243,7 +254,7 @@ class InvarianceReport:
 
     @property
     def zeta_invariant(self) -> bool:
-        return zeta_equal(self.zeta_before, self.zeta_after)
+        return self.zeta_before == self.zeta_after
 
     @property
     def euler_invariant(self) -> bool:
@@ -337,8 +348,7 @@ def save_center(center: CenterSpec) -> str:
         "new_component_id": center.new_component_id,
         "center_strata": [
             {"R": sorted(subset), "class": list(cls.coeffs)}
-            for subset, cls in sorted(center.center_strata.items(),
-                                      key=lambda kv: sorted(kv[0]))
+            for subset, cls in center.center_strata.items()
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

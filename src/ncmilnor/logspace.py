@@ -40,9 +40,8 @@ import cmath
 import math
 from typing import Callable, Mapping, Sequence
 
-from .milnor import bezout_chain
-from .model import Chart, ModelError, NCModel, UnitPoly
-from .ring import value_class
+from .model import MIXED, MOT, TOP, Chart, ModelError, NCModel, UnitPoly
+from .ring import bezout_chain, value_class
 
 PHASE_TOL = 1e-12
 UNIT_CUTOFF = 1e-12
@@ -96,7 +95,11 @@ class ChartContext:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "multiplicities",
                            tuple(sorted((int(k), int(v)) for k, v in dict(multiplicities).items())))
-        coords = chart.coords()
+        coords = dict(chart.divisor_coords)
+        for coord in coords:
+            if not 0 <= coord < chart.dim:
+                raise LogspaceError(
+                    f"divisor coordinate {coord} is outside the chart's {chart.dim} coordinates")
         for coord, mult in self.multiplicities:
             if coord not in coords:
                 raise LogspaceError(f"coordinate {coord} is not a divisor coordinate")
@@ -112,7 +115,7 @@ class ChartContext:
         raise LogspaceError(f"coordinate {coord} is not a divisor coordinate")
 
     def divisor_coords(self) -> dict[int, str]:
-        return self.chart.coords()
+        return dict(self.chart.divisor_coords)
 
 
 def chart_context(model: NCModel, chart_index: int = 0) -> ChartContext:
@@ -195,12 +198,7 @@ class Classification:
 def classify(p: CplPoint) -> Classification:
     """Tag by the set of coordinates held at finite radius."""
     finite = frozenset(coord for coord, pc in p.polar if pc.finite)
-    if len(finite) == len(p.polar):
-        tag = "mot"
-    elif not finite:
-        tag = "top"
-    else:
-        tag = "mixed"
+    tag = MOT if len(finite) == len(p.polar) else TOP if not finite else MIXED
     return Classification(tag, finite)
 
 
@@ -209,9 +207,9 @@ def effective_unit(p: CplPoint) -> complex:
     divisor coordinates raised to their multiplicities."""
     vanishing = set(p.vanishing())
     value = p.chart.chart.unit(p.base)
-    for coord, _ in p.chart.multiplicities:
+    for coord, multiplicity in p.chart.multiplicities:
         if coord not in vanishing:
-            value *= p.base[coord] ** p.chart.multiplicity(coord)
+            value *= p.base[coord] ** multiplicity
     return value
 
 
@@ -230,7 +228,7 @@ def sign_f(p: CplPoint) -> complex:
 
 def f_mot(p: CplPoint) -> complex:
     """Value of the function on the algebraic part of the log space."""
-    if classify(p).tag != "mot":
+    if classify(p).tag != MOT:
         raise NonMotivicPointError("point has a coordinate at the boundary circle")
     unit = effective_unit(p)
     if abs(unit) <= UNIT_CUTOFF:
@@ -377,7 +375,7 @@ def _bezout_for(ctx: ChartContext, coords: Sequence[int]) -> tuple[int, dict[int
 def psi_map(p: CplPoint) -> PsiImage:
     """Split the torus of divisor values into a scale times a constrained
     residual torus, using Bezout coefficients for the multiplicities."""
-    if classify(p).tag != "mot":
+    if classify(p).tag != MOT:
         raise NonMotivicPointError("the Bezout splitting lives on the algebraic part")
     coords = list(p.vanishing())
     order, alpha = _bezout_for(p.chart, coords)

@@ -42,17 +42,20 @@ realizations of it that the package can compare exactly:
 * ``acampo_zeta`` / ``milnor_fibre_euler``: the monodromy zeta factorization
   prod_i (1 - t^(N_i))^(chi_i) over components, with chi_i the Euler number
   of the open stratum of component i, and the matching Euler characteristic
-  sum_i N_i * chi_i.  The exponent-sign convention (+chi_i) is fixed here
-  once and used everywhere.
+  sum_i N_i * chi_i.  The exponent-sign convention (+chi_i) is fixed in
+  ``acampo_zeta`` once, and the Euler number is read off its normal form as
+  the degree sum over factors of N * e (A'Campo 1975): merging factors of
+  equal order keeps that sum, and a dropped zero exponent adds nothing.
 
 ``psi_data`` provides the Bezout certificate behind the key: integers
-alpha_i with sum alpha_i * N_i = gcd, chosen deterministically.
+alpha_i with sum alpha_i * N_i = gcd, chosen deterministically by
+``ring.bezout_chain``.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import NCModel, UnknownStratumError
 from .ring import (
@@ -61,6 +64,7 @@ from .ring import (
     KeyedClass,
     LefschetzPoly,
     ZetaFactorization,
+    bezout_chain,
     euler_realization,
     value_class,
 )
@@ -108,7 +112,7 @@ def naive_absolute_class(model: NCModel) -> LefschetzPoly:
 
 def absolute_from_keyed(keyed: KeyedClass) -> LefschetzPoly:
     """The absolute class (L-1) * sum of the keyed pieces; see the module note."""
-    total = LefschetzPoly.zero()
+    total = ZERO
     for _, piece in keyed:
         total = total + piece
     return _L_MINUS_ONE * total
@@ -145,48 +149,11 @@ def acampo_zeta(model: NCModel) -> ZetaFactorization:
 
 
 def milnor_fibre_euler(model: NCModel) -> int:
-    """Euler characteristic of the Milnor fibre, sum_i N_i * chi_i.
-
-    Matches the zeta convention above; meaningful for local-mode models,
-    where the stratum classes sit over the tracked point.
+    """Euler characteristic of the Milnor fibre, sum_i N_i * chi_i, read
+    off the zeta factorization; see the module note.  Meaningful for
+    local-mode models, where the stratum classes sit over the tracked point.
     """
-    return sum(
-        comp.multiplicity * euler_realization(model.stratum_class({comp.id}))
-        for comp in model.components
-    )
-
-
-def bezout_chain(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """gcd of positive integers together with deterministic Bezout
-    coefficients, folding extended Euclid left to right.
-
-    Each two-term step uses the textbook extended Euclid output, whose
-    coefficients are the smallest in absolute value, so the fold is a normal
-    form for the input order.
-    """
-    if not values:
-        raise ValueError("bezout_chain needs at least one value")
-    if any(v < 1 for v in values):
-        raise ValueError(f"values must be positive, got {list(values)}")
-    g = values[0]
-    coeffs = [1]
-    for v in values[1:]:
-        g, s, t = _extended_gcd(g, v)
-        coeffs = [c * s for c in coeffs]
-        coeffs.append(t)
-    return g, tuple(coeffs)
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    return sum(order * exponent for order, exponent in acampo_zeta(model))
 
 
 def psi_data(model: NCModel, subset: Iterable[str]) -> PsiData:

@@ -42,10 +42,10 @@ importing this module stays cheap.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .ring import ZERO, LefschetzPoly, value_class
+from .ring import ONE, ZERO, LefschetzPoly, value_class
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -57,6 +57,12 @@ LOCAL = "local"
 #: blow-up codimensions are bounded by the ambient dimension, so this one
 #: limit bounds every dense class the package builds from a document.
 MAX_AMBIENT_DIM = 4096
+
+#: Most strata or census pieces the package builds from one input.  A census
+#: of J has 2^|J| pieces, and a blow-up along K adds up to 2^|K| strata per
+#: centre piece, so both are counted before any piece is built: a document
+#: of a few hundred bytes could otherwise ask for 2^40 of them.
+MAX_STRATA = 2**17
 
 #: Most decimal digits of a multiplicity or class coefficient.  Python
 #: converts integers of at most 4,300 digits to and from text
@@ -145,11 +151,14 @@ class Stratum:
 class UnitPoly:
     """Multivariate polynomial with exact Gaussian-rational coefficients.
 
-    Terms map an exponent tuple (one entry per chart coordinate) to a
-    coefficient (re, im) pair of Fractions.  Evaluation is done in complex
-    double precision; the exact coefficients exist so that models serialize
-    reproducibly and charts compare bit-exactly.  ``fractions`` is imported
-    by the first unit built, not by importing this module.
+    Terms map an exponent tuple (entry k for chart coordinate k) to a
+    coefficient (re, im) pair of Fractions.  In normal form an exponent
+    tuple has no trailing zero, terms whose tuples agree after trimming are
+    added, and zero terms are dropped; so ``==`` compares polynomials.
+    Evaluation is done in complex double precision; the exact coefficients
+    exist so that models serialize reproducibly and charts compare
+    bit-exactly.  ``fractions`` is imported by the first unit built, not by
+    importing this module.
     """
 
     __slots__ = ("terms",)
@@ -157,23 +166,25 @@ class UnitPoly:
     def __init__(self, terms: Mapping[tuple[int, ...], tuple[Fraction, Fraction]]):
         from fractions import Fraction
 
-        cleaned = {}
+        merged: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
         for exponents, (re, im) in dict(terms).items():
             exponents = tuple(int(e) for e in exponents)
             if any(e < 0 for e in exponents):
                 raise ModelError(f"negative exponent in unit term {exponents}")
+            n = len(exponents)
+            while n and not exponents[n - 1]:
+                n -= 1
+            key = exponents[:n]
             re, im = Fraction(re), Fraction(im)
-            if re != 0 or im != 0:
-                cleaned[exponents] = (re, im)
-        object.__setattr__(self, "terms", dict(cleaned))
+            if key in merged:
+                re, im = re + merged[key][0], im + merged[key][1]
+            merged[key] = (re, im)
+        object.__setattr__(self, "terms", {
+            key: value for key, value in merged.items() if value[0] or value[1]})
 
     @staticmethod
     def constant(re, im=0) -> "UnitPoly":
         return UnitPoly({(): (re, im)})
-
-    @property
-    def arity(self) -> int:
-        return max((len(e) for e in self.terms), default=0)
 
     def __call__(self, point: Sequence[complex]) -> complex:
         total = 0j
@@ -189,9 +200,6 @@ class UnitPoly:
             total += mono
         return total
 
-    def __hash__(self) -> int:
-        return hash(("UnitPoly", tuple(sorted(self.terms.items()))))
-
 
 @value_class
 class Chart:
@@ -206,9 +214,6 @@ class Chart:
         object.__setattr__(self, "divisor_coords",
                            tuple(sorted((int(k), str(v)) for k, v in dict(divisor_coords).items())))
         object.__setattr__(self, "unit", unit)
-
-    def coords(self) -> dict[int, str]:
-        return dict(self.divisor_coords)
 
 
 @value_class
@@ -379,28 +384,26 @@ def census(model: NCModel, subset: Iterable[str]) -> CensusRecord:
     Each component direction contributes a factor ((0, +inf] x S^1); the
     2^|J| pieces are labelled by the set A of directions held at finite
     radius.  A = J is the algebraic piece (a torus, tagged "mot"), A = empty
-    the boundary piece (tagged "top"), everything else is mixed.
+    the boundary piece (tagged "top"), everything else is mixed.  Pieces
+    come top, mot, then mixed by size and id order; more than
+    ``MAX_STRATA`` of them is a ``ModelError``.
     """
     key = _check_subset(model, subset)
     if not key:
         raise ModelError("census subset must be nonempty")
+    if 1 << len(key) > MAX_STRATA:
+        raise ModelError(f"census of {len(key)} components has 2^{len(key)} pieces, "
+                         f"more than {MAX_STRATA}")
     ordered = tuple(sorted(key))
-    pieces: list[CensusPiece] = []
 
-    def piece(finite: tuple[str, ...]) -> CensusPiece:
+    def piece(finite: tuple[str, ...], tag: str) -> CensusPiece:
         fin = set(finite)
-        shape = " x ".join("C*" if cid in fin else "S^1" for cid in ordered)
-        tag = MOT if len(fin) == len(ordered) else TOP if not fin else MIXED
-        return CensusPiece(finite, shape, tag)
+        return CensusPiece(
+            finite, " x ".join("C*" if cid in fin else "S^1" for cid in ordered), tag)
 
-    pieces.append(piece(()))
-    pieces.append(piece(ordered))
-    for mask in range(1, 2 ** len(ordered) - 1):
-        finite = tuple(cid for i, cid in enumerate(ordered) if mask >> i & 1)
-        pieces.append(piece(finite))
-    # deterministic order: top, mot, then mixed by size and id order
-    head, tail = pieces[:2], sorted(pieces[2:], key=lambda p: (len(p.finite), p.finite))
-    return CensusRecord(ordered, tuple(head + tail))
+    mixed = chain.from_iterable(combinations(ordered, k) for k in range(1, len(ordered)))
+    return CensusRecord(ordered, (piece((), TOP), piece(ordered, MOT),
+                                  *(piece(finite, MIXED) for finite in mixed)))
 
 
 def closure_strata(model: NCModel, subset: Iterable[str]) -> set[frozenset[str]]:
@@ -426,13 +429,30 @@ def _fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _fraction_from_str(text: str, where: str) -> Fraction:
+def _rational_field(term: dict, key: str, where: str) -> Fraction:
+    """``term[key]``, a string ``<int>`` or ``<int>/<int>`` as ``save_model``
+    writes it, with at most ``MAX_INT_DIGITS`` digits per part, a nonzero
+    denominator and a value that converts to a finite float.  The digits
+    are checked before any number is built, so a field costs time in its
+    length only."""
     from fractions import Fraction
 
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelParseError(f"bad rational {text!r}: {exc}", where=where) from None
+    text = term[key]
+    parts = text.removeprefix("-").split("/") if isinstance(text, str) else []
+    if not 1 <= len(parts) <= 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        problem = "must be a string '<int>' or '<int>/<int>'"
+    elif max(map(len, parts)) > MAX_INT_DIGITS:
+        problem = f"has more than {MAX_INT_DIGITS} digits"
+    elif len(parts) == 2 and not int(parts[1]):
+        problem = "has a zero denominator"
+    else:
+        value = Fraction(*map(int, text.split("/")))
+        try:
+            float(value)
+            return value
+        except OverflowError:
+            problem = "is too large for a float"
+    raise ModelParseError(f"field {key!r} {problem}", where=where)
 
 
 def parse_json(text: str):
@@ -496,19 +516,17 @@ def _unit_from_json(value, where: str) -> UnitPoly:
     for i, term in enumerate(value):
         twhere = f"{where}.unit[{i}]"
         require_keys(term, ("re", "im", "exponents"), (), twhere)
-        if not isinstance(term["exponents"], list):
-            raise ModelParseError("'exponents' must be a list", where=twhere)
-        exponents = tuple(term["exponents"])
+        exponents = term["exponents"]
+        if not isinstance(exponents, list) or not all(
+            type(e) is int and e >= 0 for e in exponents
+        ):
+            raise ModelParseError("'exponents' must be a list of integers >= 0", where=twhere)
+        exponents = tuple(exponents)
         if exponents in terms:
             raise ModelParseError(f"duplicate exponent tuple {exponents}", where=twhere)
-        terms[exponents] = (
-            _fraction_from_str(term["re"], twhere),
-            _fraction_from_str(term["im"], twhere),
-        )
-    try:
-        return UnitPoly(terms)
-    except ModelError as exc:
-        raise ModelParseError(str(exc), where=where) from None
+        terms[exponents] = (_rational_field(term, "re", twhere),
+                            _rational_field(term, "im", twhere))
+    return UnitPoly(terms)
 
 
 def _strata_well_formed(items: list) -> bool:
@@ -559,8 +577,11 @@ def load_model(text: str) -> NCModel:
     strata = map(Stratum, map(dict.__getitem__, items, repeat("components")),
                  map(LefschetzPoly.from_checked, map(dict.__getitem__, items, repeat("class"))))
 
+    chart_items = doc.get("charts", [])
+    if not isinstance(chart_items, list):
+        raise ModelParseError("field 'charts' must be a list", where="document")
     charts = []
-    for i, item in enumerate(doc.get("charts", [])):
+    for i, item in enumerate(chart_items):
         where = f"charts[{i}]"
         require_keys(item, ("dim", "divisor_coords", "unit"), (), where)
         raw = item["divisor_coords"]
@@ -642,10 +663,6 @@ def save_model(model: NCModel) -> str:
 # ---------------------------------------------------------------------------
 # built-in examples
 
-def _one() -> LefschetzPoly:
-    return LefschetzPoly.one()
-
-
 def _monomial_chart(dim: int, coords: Mapping[int, str]) -> Chart:
     return Chart(dim, coords, UnitPoly.constant(1))
 
@@ -656,7 +673,7 @@ def smooth_model() -> NCModel:
         ambient_dim=2,
         mode=LOCAL,
         components=[Component("x", 1)],
-        strata=[Stratum({"x"}, _one())],
+        strata=[Stratum({"x"}, ONE)],
         charts=[_monomial_chart(2, {0: "x"})],
     )
 
@@ -669,7 +686,7 @@ def power_model(exponent: int) -> NCModel:
         ambient_dim=1,
         mode=LOCAL,
         components=[Component("x", exponent)],
-        strata=[Stratum({"x"}, _one())],
+        strata=[Stratum({"x"}, ONE)],
         charts=[_monomial_chart(1, {0: "x"})],
     )
 
@@ -686,7 +703,7 @@ def two_axes_model(a: int, b: int) -> NCModel:
         ambient_dim=2,
         mode=LOCAL,
         components=[Component("x", a), Component("y", b)],
-        strata=[Stratum({"x", "y"}, _one())],
+        strata=[Stratum({"x", "y"}, ONE)],
         charts=[_monomial_chart(2, {0: "x", 1: "y"})],
     )
 
@@ -702,7 +719,6 @@ def cusp_resolved_model() -> NCModel:
     class L - 2, the strict transform contributes no open local stratum,
     and each corner is a point.
     """
-    one = _one()
     line = LefschetzPoly((0, 1))
     return NCModel(
         ambient_dim=2,
@@ -717,9 +733,9 @@ def cusp_resolved_model() -> NCModel:
             Stratum({"e2"}, line),
             Stratum({"e3"}, line),
             Stratum({"e6"}, LefschetzPoly((-2, 1))),
-            Stratum({"e2", "e6"}, one),
-            Stratum({"e3", "e6"}, one),
-            Stratum({"st", "e6"}, one),
+            Stratum({"e2", "e6"}, ONE),
+            Stratum({"e3", "e6"}, ONE),
+            Stratum({"st", "e6"}, ONE),
         ],
     )
 
@@ -738,9 +754,10 @@ def builtin_example(name: str) -> NCModel:
         model = cusp_resolved_model()
     elif name.startswith("power_"):
         try:
-            model = power_model(int(name[len("power_"):]))
+            exponent = int(name[len("power_"):])
         except ValueError:
             raise ModelError(f"bad power example name {name!r}") from None
+        model = power_model(exponent)
     elif name.startswith("xa_yb_"):
         try:
             a, b = (int(part) for part in name[len("xa_yb_"):].split("_"))

@@ -29,12 +29,17 @@ Realizations of LefschetzPoly: ``euler_realization`` evaluates at L = 1
 L -> u*v (the Hodge-Deligne E-polynomial of a mixed-Tate class), landing in
 ``UVPoly``, a small exact bivariate polynomial type.
 
+``bezout_chain`` gives the gcd of positive integers with deterministic
+Bezout coefficients; the Milnor layer's trivialization data and the numeric
+layer's torus splitting both read it from here.
+
 Everything is immutable and side-effect free.  Each of the four types
 computes its normal form in its own ``__init__``, and equality of values is
 equality of normal forms.  ``value_class`` completes them, and every other
 immutable value type of the package, with equality, hashing, the repr,
-immutability and pickling; it lives here because this module imports no
-other module of the package.
+immutability and pickling; a type whose single field is a term map (a
+``dict``) is hashed on the frozenset of its items.  It lives here because
+this module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ def value_class(cls: type) -> type:
       writes its own (which then sets each slot with ``object.__setattr__``);
     * ``==`` true only between instances of the same class with equal
       fields, and the matching ``hash``, on the tuple of field values, or on
-      the bare value of a single field; a class's own ``__hash__`` is kept;
+      the bare value of a single field (a ``dict`` as the frozenset of its
+      items, since equal dicts hold equal items in any order);
     * the dataclass repr ``Name(field=value!r, ...)``, and ``Name(value!r)``
       for a single field, in which a frozenset lists its elements sorted, so
       the text does not depend on the hash seed; a class's own ``__repr__``
@@ -96,7 +102,8 @@ def value_class(cls: type) -> type:
         return NotImplemented
 
     def __hash__(self):
-        return hash(values(self))
+        value = values(self)
+        return hash(frozenset(value.items()) if value.__class__ is dict else value)
 
     def __repr__(self):
         body = ", ".join(f"{label}{_field_repr(value)}"
@@ -112,7 +119,7 @@ def value_class(cls: type) -> type:
     def __reduce__(self):
         return self.__class__, args(self)
 
-    own = {"__hash__", "__repr__"} & cls.__dict__.keys()
+    own = {"__repr__"} & cls.__dict__.keys()
     for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__, __reduce__):
         if method.__name__ in own:
             continue
@@ -234,11 +241,6 @@ class LefschetzPoly:
     def leading_coefficient(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def coefficient(self, power: int) -> int:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return 0
-
     # -- ring operations
 
     def __add__(self, other: "LefschetzPoly") -> "LefschetzPoly":
@@ -324,12 +326,6 @@ class UVPoly:
             out[key] = out.get(key, 0) + c
         return UVPoly(out)
 
-    def __sub__(self, other: "UVPoly") -> "UVPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return UVPoly(out)
-
     def __mul__(self, other: "UVPoly") -> "UVPoly":
         out: dict[tuple[int, int], int] = {}
         for (i, j), c in self.terms.items():
@@ -337,9 +333,6 @@ class UVPoly:
                 key = (i + k, j + l)
                 out[key] = out.get(key, 0) + c * d
         return UVPoly(out)
-
-    def __hash__(self) -> int:
-        return hash(("UVPoly", tuple(sorted(self.terms.items()))))
 
     def evaluate(self, u: int, v: int) -> int:
         return sum(c * u**i * v**j for (i, j), c in self.terms.items())
@@ -398,17 +391,11 @@ class KeyedClass:
     def __sub__(self, other: "KeyedClass") -> "KeyedClass":
         return self + KeyedClass({key: -poly for key, poly in other.entries.items()})
 
-    def __hash__(self) -> int:
-        return hash(("KeyedClass", tuple(sorted((k, p.coeffs) for k, p in self.entries.items()))))
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 
     def __iter__(self) -> Iterator[tuple[int, LefschetzPoly]]:
         return iter(sorted(self.entries.items()))
-
-    def get(self, key: int) -> LefschetzPoly:
-        return self.entries.get(key, ZERO)
 
     def __str__(self) -> str:
         if not self.entries:
@@ -466,3 +453,36 @@ def zeta_equal(a: ZetaFactorization, b: ZetaFactorization) -> bool:
     rational function exactly when they are equal.
     """
     return a == b
+
+
+def bezout_chain(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """gcd of positive integers together with deterministic Bezout
+    coefficients, folding extended Euclid left to right.
+
+    Each two-term step uses the textbook extended Euclid output, whose
+    coefficients are the smallest in absolute value, so the fold is a normal
+    form for the input order.
+    """
+    if not values:
+        raise ValueError("bezout_chain needs at least one value")
+    if any(v < 1 for v in values):
+        raise ValueError(f"values must be positive, got {list(values)}")
+    g = values[0]
+    coeffs = [1]
+    for v in values[1:]:
+        g, s, t = _extended_gcd(g, v)
+        coeffs = [c * s for c in coeffs]
+        coeffs.append(t)
+    return g, tuple(coeffs)
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t

@@ -31,6 +31,7 @@ from ncmilnor.model import (
     InvalidModelError,
     NCModel,
     Stratum,
+    Violation,
     builtin_example,
     power_model,
     validate,
@@ -218,6 +219,43 @@ class TestApplyBlowup:
         with pytest.warns(UserWarning, match="negative leading coefficient"):
             blown = apply_blowup(model, center)
         assert blown.stratum_class({"x"}) == LefschetzPoly((-1,))
+
+
+class TestCenterPieces:
+    def test_stored_in_sorted_subset_order(self):
+        pieces = {frozenset({"z"}): ONE, frozenset({"y", "z"}): ONE,
+                  frozenset(): ONE, frozenset({"y"}): ONE}
+        spec = CenterSpec(["x"], ["z", "y"], 2, pieces, "E")
+        assert list(spec.center_strata) == [
+            frozenset(), frozenset({"y"}), frozenset({"y", "z"}), frozenset({"z"})]
+        assert spec.center_strata == pieces
+
+
+def point_on(n):
+    """A model with one stratum, a point, on n components, and the point
+    centre on all of them."""
+    ids = [f"c{i:02d}" for i in range(n)]
+    model = NCModel(n, "local", [Component(c, 1) for c in ids], [Stratum(ids, ONE)])
+    return model, point_center(ids, n)
+
+
+class TestStrataBound:
+    def test_counted_before_any_subset_is_built(self):
+        # imported here, so that without the bound the test stops before 2^40 subsets
+        from ncmilnor.model import MAX_STRATA
+
+        model, center = point_on(40)
+        assert validate_center(model, center) == [Violation(
+            "center", f"blow-up would build up to 1 + 1 * 2^40 strata, more than {MAX_STRATA}")]
+        with pytest.raises(InvalidModelError, match="2\\^40 strata"):
+            check_invariance(model, center)
+
+    def test_largest_accepted_centre(self):
+        from ncmilnor.model import MAX_STRATA
+
+        k = MAX_STRATA.bit_length() - 2  # 1 + 2^k <= MAX_STRATA < 1 + 2^(k+1)
+        assert validate_center(*point_on(k)) == []
+        assert len(validate_center(*point_on(k + 1))) == 1
 
 
 class TestInvariance:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,16 @@ import ncmilnor
 from ncmilnor.cli import main
 from ncmilnor.blowup import point_center, save_center
 from ncmilnor.milnor import naive_absolute_class
-from ncmilnor.model import builtin_example, load_model, save_model, validate
+from ncmilnor.model import (
+    Component,
+    NCModel,
+    Stratum,
+    builtin_example,
+    load_model,
+    save_model,
+    validate,
+)
+from ncmilnor.ring import ONE
 
 BUILTINS = ("smooth", "xy", "cusp_resolved", "power_3", "xa_yb_2_3")
 SRC = str(Path(ncmilnor.__file__).resolve().parent.parent)
@@ -399,6 +409,79 @@ class TestParserLimits:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+def chart_unit_doc(**term):
+    doc = json.loads(save_model(builtin_example("xy")))
+    doc["charts"][0]["unit"][0].update(term)
+    return doc
+
+
+class TestChartUnits:
+    """Malformed chart units are located input errors, never a traceback."""
+
+    EXPONENTS = "'exponents' must be a list of integers >= 0"
+    RATIONAL = "field 're' must be a string '<int>' or '<int>/<int>'"
+
+    @pytest.mark.parametrize("command", ["validate", "recover"])
+    @pytest.mark.parametrize("term, problem", [
+        ({"exponents": ["a"]}, EXPONENTS),
+        ({"exponents": [1.5]}, EXPONENTS),
+        ({"exponents": [True]}, EXPONENTS),
+        ({"re": [1]}, RATIONAL),
+        ({"re": "1e999"}, RATIONAL),
+        ({"re": 0.5}, RATIONAL),
+        ({"re": "1" + "0" * 400}, "field 're' is too large for a float"),
+    ], ids=["exponent-text", "exponent-float", "exponent-bool", "re-list", "re-1e999",
+            "re-number", "re-overflow"])
+    def test_exits_2_with_located_error(self, capsys, tmp_path, command, term, problem):
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps(chart_unit_doc(**term)))
+        extra = ["--point", "[[0, 0], [0, 0]]"] if command == "recover" else []
+        code, out, err = run(capsys, command, str(path), *extra)
+        assert (code, out, err) == (2, "", f"error: charts[0].unit[0]: {problem}\n")
+
+    def test_charts_must_be_a_list(self, capsys, tmp_path):
+        doc = json.loads(save_model(builtin_example("xy")))
+        doc["charts"] = {"a": 1}
+        path = tmp_path / "charts.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (2, "", "error: document: field 'charts' must be a list\n")
+
+
+class TestStrataBound:
+    """A census or blow-up with more pieces than ``MAX_STRATA`` stops before
+    building any of them."""
+
+    N = 40
+
+    @pytest.fixture
+    def wide_paths(self, tmp_path):
+        ids = [f"c{i:02d}" for i in range(self.N)]
+        model = tmp_path / "wide.json"
+        model.write_text(save_model(NCModel(
+            self.N, "local", [Component(c, 1) for c in ids], [Stratum(ids, ONE)])))
+        center = tmp_path / "point.json"
+        center.write_text(save_center(point_center(ids, self.N)))
+        return str(model), str(center), ",".join(ids)
+
+    @pytest.mark.parametrize("command", ["invariance", "census"])
+    def test_exits_2_at_once(self, capsys, wide_paths, command):
+        # imported here, so that without the bound the test stops before 2^40 pieces
+        from ncmilnor.model import MAX_STRATA
+
+        model, center, ids = wide_paths
+        argv = ([command, model, "--center", center] if command == "invariance"
+                else [command, model, "--stratum", ids])
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        expected = {
+            "invariance": f"center: blow-up would build up to 1 + 1 * 2^{self.N} strata",
+            "census": f"census of {self.N} components has 2^{self.N} pieces",
+        }[command]
+        assert (code, out, err) == (2, "", f"error: {expected}, more than {MAX_STRATA}\n")
+
+
 class TestExamples:
     def test_every_builtin_written_file_validates(self, capsys, tmp_path):
         for name in BUILTINS:
@@ -413,3 +496,8 @@ class TestExamples:
                            "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert "unknown example" in err
+
+    def test_power_zero_names_the_exponent_rule(self, capsys, tmp_path):
+        code, out, err = run(capsys, "examples", "--name", "power_0",
+                             "--out", str(tmp_path / "p.json"))
+        assert (code, out, err) == (2, "", "error: power exponent must be >= 1, got 0\n")

@@ -42,6 +42,12 @@ from ncmilnor.model import Chart, UnitPoly, builtin_example
 INF = math.inf
 
 
+def test_divisor_coordinate_outside_the_chart():
+    chart = Chart(1, {3: "x"}, UnitPoly.constant(1))
+    with pytest.raises(LogspaceError, match="divisor coordinate 3 is outside"):
+        CplPoint(ChartContext(chart, {3: 1}), (0j,), {3: PolarCoord(1.0, 1 + 0j)})
+
+
 def ctx_for(name):
     return chart_context(builtin_example(name))
 

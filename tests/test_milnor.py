@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from ncmilnor.milnor import (
     acampo_zeta,
-    bezout_chain,
     keyed_class,
     milnor_fibre_euler,
     motivic_terms,
@@ -24,7 +23,13 @@ from ncmilnor.model import (
     load_model,
     save_model,
 )
-from ncmilnor.ring import KeyedClass, LefschetzPoly, ZetaFactorization, euler_realization
+from ncmilnor.ring import (
+    KeyedClass,
+    LefschetzPoly,
+    ZetaFactorization,
+    bezout_chain,
+    euler_realization,
+)
 
 ONE = LefschetzPoly.one()
 LM1 = LefschetzPoly((-1, 1))

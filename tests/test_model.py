@@ -3,6 +3,8 @@
 import itertools
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -184,6 +186,39 @@ class TestCensus:
         assert tags.count("top") == 1
         assert tags.count("mot") == 1
         assert tags.count("mixed") == 2**size - 2
+
+
+class TestUnitNormalForm:
+    """Exponent tuples lose trailing zeros, terms landing on one tuple are
+    added, and zero terms are dropped, so equal polynomials compare equal."""
+
+    def test_trailing_zero_exponents(self):
+        assert UnitPoly({(1, 0): (2, 0)}) == UnitPoly({(1,): (2, 0)})
+        assert UnitPoly({(0, 0): (1, 0)}).terms == {(): (1, 0)}
+
+    def test_colliding_terms_are_added(self):
+        unit = UnitPoly({(1, 0): (1, 1), (1,): (2, "1/2")})
+        assert unit.terms == {(1,): (Fraction(3), Fraction(3, 2))}
+
+    def test_cancelling_terms_are_dropped(self):
+        unit = UnitPoly({(0, 2, 0): (1, 0), (0, 2): (-1, 0), (): (5, 0)})
+        assert unit.terms == {(): (5, 0)}
+
+    def test_document_is_written_in_normal_form(self):
+        doc = json.loads(save_model(xy_model()))
+        doc["charts"][0]["unit"] = [{"re": "1/1", "im": "0/1", "exponents": [0, 0]},
+                                    {"re": "2/1", "im": "0/1", "exponents": [1, 0]}]
+        again = json.loads(save_model(load_model(json.dumps(doc))))
+        assert again["charts"][0]["unit"] == [{"re": "1/1", "im": "0/1", "exponents": []},
+                                              {"re": "2/1", "im": "0/1", "exponents": [1]}]
+
+    def test_long_rational_text_is_rejected_by_its_length(self):
+        doc = json.loads(save_model(xy_model()))
+        doc["charts"][0]["unit"][0]["re"] = "1e10000000"
+        start = time.perf_counter()
+        with pytest.raises(ModelParseError, match=r"^charts\[0\]\.unit\[0\]: field 're'"):
+            load_model(json.dumps(doc))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestClosure:

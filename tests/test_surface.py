@@ -84,3 +84,8 @@ def test_cli_import_loads_only_the_front_end():
 def test_ring_import_loads_no_other_module():
     loaded = [m for m in loaded_after("import ncmilnor.ring") if m.startswith("ncmilnor")]
     assert loaded == ["ncmilnor", "ncmilnor.ring"]
+
+
+def test_logspace_import_loads_no_milnor_layer():
+    loaded = [m for m in loaded_after("import ncmilnor.logspace") if m.startswith("ncmilnor")]
+    assert loaded == ["ncmilnor", "ncmilnor.logspace", "ncmilnor.model", "ncmilnor.ring"]

@@ -175,6 +175,24 @@ OTHER_VALUES = [
 ]
 
 
+# the value types whose single field is a term map, with items of equal values
+TERM_MAPS = [
+    (KeyedClass, [(6, LefschetzPoly((-1, 1))), (1, ONE)]),
+    (UVPoly, [((1, 1), 2), ((0, 0), -1)]),
+    (UnitPoly, [((1, 2), (3, 0)), ((), (1, 0))]),
+]
+
+
+@pytest.mark.parametrize("cls, items", TERM_MAPS, ids=[cls.__name__ for cls, _ in TERM_MAPS])
+def test_term_map_hash_is_generated(cls, items):
+    assert cls.__hash__.__code__ is Violation.__hash__.__code__  # value_class's own
+    forward, backward = cls(dict(items)), cls(dict(reversed(items)))
+    assert forward == backward
+    assert hash(forward) == hash(backward)
+    (field,) = cls.__slots__
+    assert hash(forward) == hash(frozenset(getattr(forward, field).items()))
+
+
 @pytest.mark.parametrize("value", OTHER_VALUES, ids=lambda v: type(v).__name__)
 def test_value_type_pickle_and_copy(value):
     for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
