@@ -31,7 +31,7 @@ import warnings
 from math import comb
 from typing import Iterable, Mapping
 
-from .milnor import absolute_from_keyed, acampo_zeta, keyed_class, milnor_fibre_euler
+from .milnor import absolute_from_keyed, acampo_zeta, keyed_class
 from .model import (
     MAX_STRATA,
     Component,
@@ -278,11 +278,12 @@ def check_invariance(model: NCModel, center: CenterSpec) -> InvarianceReport:
     transformed = apply_blowup(model, center)
     keyed_before = keyed_class(model)
     keyed_after = keyed_class(transformed)
+    zeta_before, zeta_after = acampo_zeta(model), acampo_zeta(transformed)
     return InvarianceReport(
-        zeta_before=acampo_zeta(model),
-        zeta_after=acampo_zeta(transformed),
-        euler_before=milnor_fibre_euler(model),
-        euler_after=milnor_fibre_euler(transformed),
+        zeta_before=zeta_before,
+        zeta_after=zeta_after,
+        euler_before=zeta_before.degree,
+        euler_after=zeta_after.degree,
         absolute_before=absolute_from_keyed(keyed_before),
         absolute_after=absolute_from_keyed(keyed_after),
         keyed_before=keyed_before,

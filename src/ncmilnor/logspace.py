@@ -27,11 +27,20 @@ The maps implemented here:
   the identity phases.
 * ``psi_map`` / ``psi_inverse``: the Bezout change of coordinates isolating
   one copy of C* on which the function is a pure power.
-* ``sigma_alog_chart``: the chart-level effect of blowing up a coordinate
-  subspace, mapping an upstairs point to the downstairs point under it.
+* ``sigma_alog_chart`` / ``pullback_motivic_value``: the chart-level
+  blow-up of a coordinate subspace.  The upstairs point is an ordinary
+  ``CplPoint`` on the exceptional chart, where f o sigma is again a
+  normal-crossing function: its unit is the exact pullback
+  ``UnitPoly.pullback`` and the exceptional coordinate carries the sum of
+  the centre's multiplicities (A'Campo 1975).  ``sigma_alog_chart`` maps
+  that point to the downstairs point under it, and
+  ``pullback_motivic_value`` is ``f_mot`` of it.
 
 Tolerances: unit modulus and unit-vanishing cutoffs are 1e-12; the phase
-identities are certified to 1e-9 by the test suite.
+identities are certified to 1e-9 by the test suite.  A chart multiplicity
+is at most 10**12 = 1/PHASE_TOL, so |theta^N| <= e for every accepted phase
+theta; ``effective_unit`` turns an overflowing or non-finite unit into a
+``LogspaceError``.
 """
 
 from __future__ import annotations
@@ -105,6 +114,10 @@ class ChartContext:
                 raise LogspaceError(f"coordinate {coord} is not a divisor coordinate")
             if mult < 1:
                 raise LogspaceError(f"multiplicity at coordinate {coord} must be >= 1")
+            # compared as integers: mult * PHASE_TOL overflows for mult >= 2**1024
+            if mult > 10**12:
+                raise LogspaceError(
+                    f"multiplicity at coordinate {coord} exceeds 10**12 = 1/PHASE_TOL")
         if set(coords) != {c for c, _ in self.multiplicities}:
             raise LogspaceError("every divisor coordinate needs a multiplicity")
 
@@ -139,15 +152,11 @@ class CplPoint:
     __slots__ = ("chart", "base", "polar")
 
     def __init__(self, chart: ChartContext, base: Sequence[complex],
-                 polar: Mapping[int, PolarCoord] | Mapping[int, tuple]):
-        entries = []
-        for coord, item in sorted(dict(polar).items()):
-            if not isinstance(item, PolarCoord):
-                item = PolarCoord(float(item[0]), complex(item[1]))
-            entries.append((int(coord), item))
+                 polar: Mapping[int, PolarCoord]):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "base", tuple(complex(z) for z in base))
-        object.__setattr__(self, "polar", tuple(entries))
+        object.__setattr__(self, "polar", tuple(
+            (int(coord), item) for coord, item in sorted(dict(polar).items())))
         self._check()
 
     def _check(self) -> None:
@@ -204,12 +213,22 @@ def classify(p: CplPoint) -> Classification:
 
 def effective_unit(p: CplPoint) -> complex:
     """The effective unit at the point: the chart unit times the nonvanishing
-    divisor coordinates raised to their multiplicities."""
+    divisor coordinates raised to their multiplicities.  Raises
+    ``UnitVanishingError`` when it is within ``UNIT_CUTOFF`` of zero, and
+    ``LogspaceError`` when it overflows or is not finite."""
     vanishing = set(p.vanishing())
-    value = p.chart.chart.unit(p.base)
-    for coord, multiplicity in p.chart.multiplicities:
-        if coord not in vanishing:
-            value *= p.base[coord] ** multiplicity
+    try:
+        value = p.chart.chart.unit(p.base)
+        for coord, multiplicity in p.chart.multiplicities:
+            if coord not in vanishing:
+                value *= p.base[coord] ** multiplicity
+        size = abs(value)
+    except OverflowError:
+        size = math.inf
+    if not math.isfinite(size):
+        raise LogspaceError("unit is not finite at the base point")
+    if size <= UNIT_CUTOFF:
+        raise UnitVanishingError("unit vanishes at the base point")
     return value
 
 
@@ -218,8 +237,6 @@ def sign_f(p: CplPoint) -> complex:
     the product of divisor phases to their multiplicities.  Radii are never
     read, so the value is constant along scaling orbits."""
     unit = effective_unit(p)
-    if abs(unit) <= UNIT_CUTOFF:
-        raise UnitVanishingError("unit vanishes at the base point")
     value = unit / abs(unit)
     for coord, pc in p.polar:
         value *= pc.phase ** p.chart.multiplicity(coord)
@@ -230,10 +247,7 @@ def f_mot(p: CplPoint) -> complex:
     """Value of the function on the algebraic part of the log space."""
     if classify(p).tag != MOT:
         raise NonMotivicPointError("point has a coordinate at the boundary circle")
-    unit = effective_unit(p)
-    if abs(unit) <= UNIT_CUTOFF:
-        raise UnitVanishingError("unit vanishes at the base point")
-    value = unit
+    value = effective_unit(p)
     for coord, pc in p.polar:
         value *= pc.value() ** p.chart.multiplicity(coord)
     return value
@@ -254,9 +268,9 @@ def xi(p: CplPoint) -> dict[int, float]:
     return out
 
 
-def in_simplex(p: CplPoint, tol: float = SIMPLEX_TOL) -> bool:
-    """True when the clock speeds sum to 1 within ``tol``."""
-    return abs(sum(xi(p).values()) - 1.0) <= tol
+def in_simplex(p: CplPoint) -> bool:
+    """True when the clock speeds sum to 1 within ``SIMPLEX_TOL``."""
+    return abs(sum(xi(p).values()) - 1.0) <= SIMPLEX_TOL
 
 
 def simplex_representative(p: CplPoint) -> CplPoint:
@@ -403,11 +417,14 @@ def psi_inverse(ctx: ChartContext, base: Sequence[complex], scale: complex,
 # ---------------------------------------------------------------------------
 # chart-level blow-up of a coordinate subspace
 
-def _check_blowup_inputs(codim: int, multiplicities: Mapping[int, int], pivot: int,
-                         up_base: Sequence[complex],
-                         up_polar: Mapping[int, PolarCoord]) -> tuple[set, set]:
-    contained = set(multiplicities)
-    if not contained or not all(0 <= k < codim for k in contained):
+def _exceptional_point(codim: int, multiplicities: Mapping[int, int], unit: UnitPoly,
+                       pivot: int, up_base: Sequence[complex],
+                       up_polar: Mapping[int, PolarCoord]) -> CplPoint:
+    """The upstairs point on the exceptional chart with unit entry at
+    ``pivot``, where f o sigma has unit ``unit.pullback(codim, pivot)`` and
+    the exceptional coordinate carries the sum of the multiplicities; the
+    point itself checks the rest of its data."""
+    if not multiplicities or not all(0 <= k < codim for k in multiplicities):
         raise LogspaceError("divisor coordinates must be centre coordinates")
     if codim > len(up_base):
         raise LogspaceError("codim exceeds the chart dimension")
@@ -416,35 +433,10 @@ def _check_blowup_inputs(codim: int, multiplicities: Mapping[int, int], pivot: i
     if pivot not in up_polar:
         raise LogspaceError("pivot coordinate zero: the exceptional direction needs "
                             "a polar pair at the pivot")
-    strict = set(up_polar) - {pivot}
-    if not strict <= contained:
-        raise LogspaceError("polar data on a coordinate that is not a divisor")
-    if complex(up_base[pivot]) != 0:
-        raise LogspaceError("base must lie on the exceptional divisor (pivot entry zero)")
-    for q in strict:
-        if complex(up_base[q]) != 0:
-            raise LogspaceError(f"base coordinate {q} must be zero on its strict transform")
-    for coord, pc in up_polar.items():
-        if not pc.finite:
-            raise LogspaceError(f"finite radius required at coordinate {coord}")
-    for k in contained - strict - {pivot}:
-        if complex(up_base[k]) == 0:
-            raise LogspaceError(
-                f"coordinate {k} vanishes but carries no polar data; "
-                f"the point is not on the claimed stratum")
-    return contained, strict
-
-
-def _downstairs_base(codim: int, pivot: int, up_base: Sequence[complex]) -> tuple[complex, ...]:
-    down = []
-    for j, z in enumerate(up_base):
-        if j == pivot:
-            down.append(complex(up_base[pivot]))
-        elif j < codim:
-            down.append(complex(up_base[pivot]) * complex(z))
-        else:
-            down.append(complex(z))
-    return tuple(down)
+    up_multiplicities = {**multiplicities, pivot: sum(multiplicities.values())}
+    ids = {k: "E" if k == pivot else f"d{k}" for k in up_multiplicities}
+    chart = Chart(len(up_base), ids, unit.pullback(codim, pivot))
+    return CplPoint(ChartContext(chart, up_multiplicities), up_base, up_polar)
 
 
 def sigma_alog_chart(codim: int, multiplicities: Mapping[int, int], unit: UnitPoly,
@@ -463,48 +455,30 @@ def sigma_alog_chart(codim: int, multiplicities: Mapping[int, int], unit: UnitPo
         exceptional value                  for the pivot itself
         exceptional value * polar value k  for strict-transform coordinates
 
-    which is the normal-vector description of the blow-down.
+    which is the normal-vector description of the blow-down; the centre
+    coordinates of the base are zero and the others are kept.
     """
-    up_polar = {int(k): v for k, v in dict(up_polar).items()}
-    contained, strict = _check_blowup_inputs(codim, multiplicities, pivot, up_base, up_polar)
-    exceptional = up_polar[pivot].value()
-    down_values: dict[int, complex] = {}
-    for k in contained:
-        if k in strict:
-            down_values[k] = exceptional * up_polar[k].value()
-        elif k == pivot:
-            down_values[k] = exceptional
-        else:
-            down_values[k] = exceptional * complex(up_base[k])
-    down_chart = Chart(len(up_base), {k: f"d{k}" for k in sorted(contained)}, unit)
-    ctx = ChartContext(down_chart, multiplicities)
-    polar = {k: PolarCoord(abs(v), v / abs(v)) for k, v in down_values.items()}
-    return CplPoint(ctx, _downstairs_base(codim, pivot, up_base), polar)
+    up = _exceptional_point(codim, multiplicities, unit, pivot, up_base, up_polar)
+    values = {k: pc.value() for k, pc in up.polar}
+    exceptional = values.pop(pivot)
+    polar = {}
+    for k in multiplicities:
+        v = exceptional if k == pivot else exceptional * values.get(k, up.base[k])
+        polar[k] = PolarCoord(abs(v), v / abs(v))
+    down_chart = Chart(len(up.base), {k: f"d{k}" for k in multiplicities}, unit)
+    return CplPoint(ChartContext(down_chart, multiplicities),
+                    (0j,) * codim + up.base[codim:], polar)
 
 
 def pullback_motivic_value(codim: int, multiplicities: Mapping[int, int], unit: UnitPoly,
                            pivot: int, up_base: Sequence[complex],
                            up_polar: Mapping[int, PolarCoord]) -> complex:
-    """Value of the composed function at the upstairs point.
-
-    The exceptional direction carries the sum of the divisor multiplicities;
-    strict-transform coordinates keep their own.  Equality with ``f_mot`` of
-    the ``sigma_alog_chart`` image is the commutativity of the blow-down
-    diagram, and pins the exceptional multiplicity.
+    """Value of the composed function at the upstairs point: ``f_mot`` on
+    the exceptional chart.  Equality with ``f_mot`` of the
+    ``sigma_alog_chart`` image is the commutativity of the blow-down
+    diagram, and pins the exceptional multiplicity and the pulled-back unit.
     """
-    up_polar = {int(k): v for k, v in dict(up_polar).items()}
-    contained, strict = _check_blowup_inputs(codim, multiplicities, pivot, up_base, up_polar)
-    down_base = _downstairs_base(codim, pivot, up_base)
-    effective_unit = unit(down_base)
-    for k in contained - strict - {pivot}:
-        effective_unit *= complex(up_base[k]) ** multiplicities[k]
-    if abs(effective_unit) <= UNIT_CUTOFF:
-        raise UnitVanishingError("unit vanishes at the base point")
-    total_multiplicity = sum(multiplicities.values())
-    value = effective_unit * up_polar[pivot].value() ** total_multiplicity
-    for q in strict:
-        value *= up_polar[q].value() ** multiplicities[q]
-    return value
+    return f_mot(_exceptional_point(codim, multiplicities, unit, pivot, up_base, up_polar))
 
 
 # ---------------------------------------------------------------------------

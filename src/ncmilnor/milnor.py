@@ -43,9 +43,9 @@ realizations of it that the package can compare exactly:
   prod_i (1 - t^(N_i))^(chi_i) over components, with chi_i the Euler number
   of the open stratum of component i, and the matching Euler characteristic
   sum_i N_i * chi_i.  The exponent-sign convention (+chi_i) is fixed in
-  ``acampo_zeta`` once, and the Euler number is read off its normal form as
-  the degree sum over factors of N * e (A'Campo 1975): merging factors of
-  equal order keeps that sum, and a dropped zero exponent adds nothing.
+  ``acampo_zeta`` once, and the Euler number is the zeta's
+  ``ZetaFactorization.degree``, the sum over factors of N * e (A'Campo
+  1975).
 
 ``psi_data`` provides the Bezout certificate behind the key: integers
 alpha_i with sum alpha_i * N_i = gcd, chosen deterministically by
@@ -149,11 +149,11 @@ def acampo_zeta(model: NCModel) -> ZetaFactorization:
 
 
 def milnor_fibre_euler(model: NCModel) -> int:
-    """Euler characteristic of the Milnor fibre, sum_i N_i * chi_i, read
-    off the zeta factorization; see the module note.  Meaningful for
+    """Euler characteristic of the Milnor fibre, sum_i N_i * chi_i: the
+    degree of the zeta factorization; see the module note.  Meaningful for
     local-mode models, where the stratum classes sit over the tracked point.
     """
-    return sum(order * exponent for order, exponent in acampo_zeta(model))
+    return acampo_zeta(model).degree
 
 
 def psi_data(model: NCModel, subset: Iterable[str]) -> PsiData:

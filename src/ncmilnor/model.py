@@ -200,6 +200,19 @@ class UnitPoly:
             total += mono
         return total
 
+    def pullback(self, codim: int, pivot: int) -> "UnitPoly":
+        """The unit composed with the blow-up chart of the first ``codim``
+        coordinates with unit entry at ``pivot``: x_pivot = y_pivot,
+        x_k = y_pivot * y_k for the other k < codim, x_j = y_j otherwise.
+        So x^e becomes y^e with pivot exponent sum(e[:codim]), an injective
+        map on exponents, and the result is exact."""
+        terms = {}
+        for exponents, coeff in self.terms.items():
+            e = list(exponents) + [0] * (pivot + 1 - len(exponents))
+            e[pivot] = sum(exponents[:codim])
+            terms[tuple(e)] = coeff
+        return UnitPoly(terms)
+
 
 @value_class
 class Chart:

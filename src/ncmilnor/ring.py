@@ -433,6 +433,12 @@ class ZetaFactorization:
     def __bool__(self) -> bool:
         return bool(self.factors)
 
+    @property
+    def degree(self) -> int:
+        """Sum of N * e over the factors, the degree of the rational
+        function; for A'Campo's zeta, the Euler number of the Milnor fibre."""
+        return sum(order * exponent for order, exponent in self.factors)
+
     def __str__(self) -> str:
         if not self.factors:
             return "1"

@@ -6,6 +6,7 @@ import warnings
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncmilnor import ring
 from ncmilnor.blowup import (
@@ -533,3 +534,77 @@ class TestCenterDocuments:
         assert set(doc) == {"K", "L", "codim", "new_component_id", "center_strata"}
         assert doc["K"] == ["x", "y"]
         assert doc["center_strata"] == [{"R": [], "class": [1]}]
+
+
+# ---------------------------------------------------------------------------
+# toric fan oracle.  Every model reached from H_n by blowing up orbit
+# closures is toric: components are rays v in Z^n with N_v = <m, v> for
+# f = x^m, strata are the nonempty cones J with class (L-1)^(n-|J|), and
+# blowing up the orbit closure of a cone sigma is the stellar subdivision at
+# the sum of its rays.  Nothing below shares code with apply_blowup.
+
+def l_minus_one_pow(k):
+    return LefschetzPoly([comb(k, i) * (-1) ** (k - i) for i in range(k + 1)])
+
+
+def all_subsets(rays):
+    ordered = sorted(rays)
+    return [frozenset(c) for size in range(len(ordered) + 1)
+            for c in itertools.combinations(ordered, size)]
+
+
+class Fan:
+    """A simplicial fan of rays in Z^n; a cone is a frozenset of ray ids."""
+
+    def __init__(self, m):
+        self.n = len(m)
+        self.m = m
+        self.rays = {f"x{i}": tuple(int(i == j) for j in range(self.n)) for i in range(self.n)}
+        self.cones = set(all_subsets(self.rays)) - {frozenset()}
+
+    def multiplicities(self):
+        return {ray: sum(a * b for a, b in zip(self.m, v)) for ray, v in self.rays.items()}
+
+    def classes(self):
+        return {cone: l_minus_one_pow(self.n - len(cone)) for cone in self.cones}
+
+    def model(self):
+        return NCModel(self.n, "global",
+                       [Component(ray, mult) for ray, mult in self.multiplicities().items()],
+                       [Stratum(cone, cls) for cone, cls in self.classes().items()])
+
+    def centre(self, sigma, new_id):
+        """K = sigma, L = link(sigma), one piece (L-1)^(n-|sigma|-|R|) per
+        cone sigma + R."""
+        star = [cone for cone in self.cones if sigma <= cone]
+        link = set().union(*star) - sigma
+        pieces = {cone - sigma: l_minus_one_pow(self.n - len(cone)) for cone in star}
+        return CenterSpec(sigma, link, len(sigma), pieces, new_id)
+
+    def subdivide(self, sigma, new_id):
+        """Stellar subdivision at v = sum of the rays of sigma: keep the
+        cones not containing sigma, and add every face through v of
+        {v} + (tau - {rho}) for tau containing sigma and rho in sigma."""
+        self.rays[new_id] = tuple(map(sum, zip(*(self.rays[ray] for ray in sigma))))
+        star = [cone for cone in self.cones if sigma <= cone]
+        self.cones -= set(star)
+        for tau in star:
+            for rho in sigma:
+                self.cones.update(face | {new_id} for face in all_subsets(tau - {rho}))
+
+
+class TestFanOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_blowup_chains_are_stellar_subdivisions(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=5))
+        fan = Fan(data.draw(st.lists(st.integers(min_value=1, max_value=50),
+                                     min_size=n, max_size=n)))
+        model = fan.model()
+        for step in range(data.draw(st.integers(min_value=1, max_value=4))):
+            sigma = data.draw(st.sampled_from(
+                sorted((cone for cone in fan.cones if len(cone) >= 2), key=sorted)))
+            model = apply_blowup(model, fan.centre(sigma, f"E{step}"))
+            fan.subdivide(sigma, f"E{step}")
+            assert {c.id: c.multiplicity for c in model.components} == fan.multiplicities()
+            assert {s.components: s.cls for s in model.strata} == fan.classes()

@@ -96,6 +96,9 @@ RAISES = [
      "negative exponent in unit term (-1,)"),
     ("unit-short-point", lambda: UnitPoly({(0, 1): (1, 0)})((0j,)), ModelError,
      "unit term (0, 1) needs 2 coordinates, got 1"),
+    ("stratum-empty-subset",
+     lambda: NCModel(1, "global", [Component("x", 1)], [Stratum((), ONE)]),
+     InvalidModelError, "strata[0] ({}): stratum subset must be nonempty"),
     ("census-empty", lambda: census(XY, []), ModelError, "census subset must be nonempty"),
     ("census-too-many-pieces", lambda: census(wide_model(18), [f"c{i:02d}" for i in range(18)]),
      ModelError, f"census of 18 components has 2^18 pieces, more than {MAX_STRATA}"),
@@ -119,6 +122,8 @@ RAISES = [
      "coordinate 1 is not a divisor coordinate"),
     ("context-multiplicity", lambda: ctx(2, {0: "x"}, {0: 0}), LogspaceError,
      "multiplicity at coordinate 0 must be >= 1"),
+    ("context-multiplicity-bound", lambda: ctx(1, {0: "x"}, {0: 10**12 + 1}), LogspaceError,
+     "multiplicity at coordinate 0 exceeds 10**12 = 1/PHASE_TOL"),
     ("context-missing-multiplicity", lambda: ctx(2, {0: "x", 1: "y"}, {0: 1}), LogspaceError,
      "every divisor coordinate needs a multiplicity"),
     ("context-lookup", lambda: xy_ctx().multiplicity(5), LogspaceError,
@@ -132,6 +137,10 @@ RAISES = [
     ("f-mot-unit-vanishes",
      lambda: f_mot(CplPoint(ctx(2, {0: "x"}, {0: 1}, UnitPoly({})), (0, 1), {0: PC})),
      UnitVanishingError, "unit vanishes at the base point"),
+    ("f-mot-unit-overflows",
+     lambda: f_mot(CplPoint(ctx(2, {0: "x"}, {0: 1}, UnitPoly({(0, 100000): (1, 0)})),
+                            (0, 2), {0: PC})),
+     LogspaceError, "unit is not finite at the base point"),
     ("oracle-no-divisor", lambda: sign_oracle(xy_ctx(), [1, 1]), LogspaceError,
      "base point lies on no divisor coordinate"),
     ("blowup-no-centre-coordinate",
@@ -145,11 +154,11 @@ RAISES = [
      LogspaceError, "pivot 2 is not a centre coordinate"),
     ("blowup-polar-not-divisor",
      lambda: sigma_alog_chart(2, {0: 1}, UnitPoly.constant(1), 0, (0j, 0j), {0: PC, 1: PC}),
-     LogspaceError, "polar data on a coordinate that is not a divisor"),
+     LogspaceError, "coordinate 1 is not a divisor coordinate"),
     ("blowup-strict-base",
      lambda: sigma_alog_chart(2, {0: 1, 1: 1}, UnitPoly.constant(1), 1, (0.5, 0j),
                               {1: PC, 0: PC}),
-     LogspaceError, "base coordinate 0 must be zero on its strict transform"),
+     LogspaceError, "base coordinate 0 must be exactly zero"),
     ("pullback-unit-vanishes",
      lambda: pullback_motivic_value(2, {0: 1}, UnitPoly({}), 0, (0j, 1 + 0j), {0: PC}),
      UnitVanishingError, "unit vanishes at the base point"),
@@ -334,6 +343,58 @@ def test_center_documents(doc, exc_type, message, tmp_path, capsys):
     model_path.write_text(save_model(XY))
     center_path.write_text(text)
     assert main(["invariance", str(model_path), "--center", str(center_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def xy_with_unit(terms):
+    return edited(UNIT, [{"re": "1", "im": "0", "exponents": []}, *terms])
+
+
+def numeric_point(theta=(1.0, 0.0), base=((0, 0), (2, 0))):
+    return {"base": [list(z) for z in base],
+            "polar": [{"i": 0, "r": 1.0, "theta": list(theta)}]}
+
+
+HUGE_POWER = "power_1" + "0" * 400
+BOUND = "multiplicity at coordinate 0 exceeds 10**12 = 1/PHASE_TOL"
+NOT_FINITE = "unit is not finite at the base point"
+
+# (id, builtin example name or model document, subcommand, --point value,
+# exact message): numeric inputs that overflow a float somewhere in the
+# chart layer
+NUMERIC_COMMANDS = [
+    ("recover-huge-multiplicity", HUGE_POWER, "recover", [[0, 0]], BOUND),
+    ("monodromy-huge-multiplicity", HUGE_POWER, "monodromy-demo",
+     numeric_point(base=((0, 0),)), BOUND),
+    ("monodromy-near-unit-phase-huge-multiplicity", f"power_{10**20}", "monodromy-demo",
+     numeric_point((1.0000000000005, 0.0), base=((0, 0),)), BOUND),
+    ("recover-unit-exponent", xy_with_unit([{"re": "1", "im": "0", "exponents": [0, 100000]}]),
+     "recover", [[0, 0], [2, 0]], NOT_FINITE),
+    ("recover-unit-exponent-beyond-float",
+     xy_with_unit([{"re": "1", "im": "0", "exponents": [0, 10**999]}]),
+     "recover", [[0, 0], [2, 0]], NOT_FINITE),
+    ("recover-unit-coefficient-to-inf",
+     xy_with_unit([{"re": "1" + "0" * 308, "im": "0", "exponents": [0, 1]}]),
+     "recover", [[0, 0], [2, 0]], NOT_FINITE),
+    ("monodromy-unit-coefficient-to-inf",
+     xy_with_unit([{"re": "1" + "0" * 308, "im": "0", "exponents": [0, 1]}]),
+     "monodromy-demo", numeric_point(), NOT_FINITE),
+]
+
+
+@pytest.mark.parametrize("model, command, point, message",
+                         [case[1:] for case in NUMERIC_COMMANDS],
+                         ids=[case[0] for case in NUMERIC_COMMANDS])
+def test_numeric_commands(model, command, point, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    if isinstance(model, str):
+        assert main(["examples", "--name", model, "--out", str(path)]) == 0
+    else:
+        path.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert main([command, str(path), "--point", json.dumps(point)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -252,6 +252,13 @@ class TestMonodromy:
         assert abs(q.polar_map()[0].phase + 1) < 1e-12
         assert abs(sign_f(q) + sign_f(p)) < 1e-12
 
+    def test_multiplicity_bound_keeps_phase_powers_bounded(self):
+        # at N = 10**12 = 1/PHASE_TOL, |theta^N| <= e for every accepted phase
+        chart = Chart(1, {0: "x"}, UnitPoly.constant(1))
+        p = CplPoint(ChartContext(chart, {0: 10**12}), (0j,),
+                     {0: PolarCoord(1.0, 1 + 0.9e-12)})
+        assert 1 < abs(sign_f(p)) <= math.e
+
     def test_full_turn_mixed_multiplicities(self):
         ctx = ctx_for("xa_yb_1_2")
         p = simplex_representative(CplPoint(
@@ -411,12 +418,12 @@ class TestSigmaChart:
         unit = UnitPoly.constant(1)
         with pytest.raises(LogspaceError, match="pivot"):
             sigma_alog_chart(2, {0: 1}, unit, 0, (0j, 0j), {1: PolarCoord(1, 1)})
-        with pytest.raises(LogspaceError, match="exceptional"):
+        with pytest.raises(LogspaceError, match="must be exactly zero"):
             sigma_alog_chart(2, {0: 1}, unit, 1, (0j, 1 + 0j), {1: PolarCoord(1, 1)})
-        with pytest.raises(LogspaceError, match="finite"):
+        with pytest.raises(LogspaceError, match="boundary circle"):
             sigma_alog_chart(2, {0: 1, 1: 1}, unit, 0, (0j, 1 + 0j),
                              {0: PolarCoord(INF, 1)})
-        with pytest.raises(LogspaceError, match="claimed stratum"):
+        with pytest.raises(LogspaceError, match="vanishes but has no polar data"):
             sigma_alog_chart(2, {0: 1, 1: 1}, unit, 0, (0j, 0j), {0: PolarCoord(1, 1)})
 
     def test_diagram_commutes_on_random_points(self):
@@ -440,6 +447,28 @@ class TestSigmaChart:
                         strict: PolarCoord(rng.uniform(0.3, 3), random_phase(rng)),
                     }
                 down = sigma_alog_chart(2, mults, unit, pivot, base, polar)
+                up = pullback_motivic_value(2, mults, unit, pivot, base, polar)
+                assert abs(up - f_mot(down)) < 1e-9 * abs(up)
+
+    def test_diagram_commutes_with_a_nonconstant_unit(self):
+        # dim 3, codim 2: the unit has terms inside the centre, which vanish
+        # on the exceptional divisor, and terms in the coordinate past it,
+        # which the blow-down keeps
+        unit = UnitPoly({(): (2, 0), (1,): (5, 1), (0, 1, 1): (-3, 0),
+                         (0, 0, 1): ("1/2", "1/3"), (0, 0, 3): (0, "1/4")})
+        rng = random.Random(37)
+        for mults in ({0: 1, 1: 1}, {0: 2, 1: 3}, {0: 3}, {1: 2}):
+            for _ in range(100):
+                pivot = rng.choice((0, 1))
+                other = 1 - pivot
+                base = [0j, 0j, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
+                polar = {pivot: PolarCoord(rng.uniform(0.3, 3), random_phase(rng))}
+                if other in mults and rng.random() < 0.5:
+                    polar[other] = PolarCoord(rng.uniform(0.3, 3), random_phase(rng))
+                else:
+                    base[other] = complex(rng.uniform(0.2, 2), rng.uniform(-1, 1))
+                down = sigma_alog_chart(2, mults, unit, pivot, base, polar)
+                assert down.base == (0j, 0j, base[2])
                 up = pullback_motivic_value(2, mults, unit, pivot, base, polar)
                 assert abs(up - f_mot(down)) < 1e-9 * abs(up)
 
@@ -476,6 +505,10 @@ class TestFibreParametrization:
         sample = sigma_log_fibre_point(theta, cmath.exp(0.4j), 0.0)
         assert sample.stratum == "boundary"
         assert abs(sample.phases[0] * sample.phases[1] - theta) < 1e-12
+
+    def test_boundary_coordinate_is_the_exceptional_phase(self):
+        sample = sigma_log_fibre_point(cmath.exp(1.1j), cmath.exp(0.4j), 0.0)
+        assert sigma_log_fibre_coordinate(sample) == (cmath.exp(0.4j), 0.0)
 
     def test_off_sphere_rejected(self):
         with pytest.raises(LogspaceError):

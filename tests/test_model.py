@@ -221,6 +221,40 @@ class TestUnitNormalForm:
         assert time.perf_counter() - start < 0.1
 
 
+class TestUnitPullback:
+    """``UnitPoly.pullback`` is u composed with the blow-up chart
+    x_pivot = y_pivot, x_k = y_pivot * y_k (other k < codim), x_j = y_j."""
+
+    @staticmethod
+    def sigma(y, codim, pivot):
+        return [z if j == pivot or j >= codim else y[pivot] * z for j, z in enumerate(y)]
+
+    def test_exact_terms(self):
+        unit = UnitPoly({(1, 1): (1, 0), (0, 0, 1): ("1/2", 3), (2,): (0, -1)})
+        assert unit.pullback(2, 0) == UnitPoly(
+            {(2, 1): (1, 0), (0, 0, 1): ("1/2", 3), (2,): (0, -1)})
+        assert unit.pullback(2, 1) == UnitPoly(
+            {(1, 2): (1, 0), (0, 0, 1): ("1/2", 3), (2, 2): (0, -1)})
+        assert unit.pullback(3, 2) == UnitPoly(
+            {(1, 1, 2): (1, 0), (0, 0, 1): ("1/2", 3), (2, 0, 2): (0, -1)})
+
+    def test_matches_composition_off_the_exceptional_divisor(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            dim = rng.randint(2, 4)
+            codim = rng.randint(2, dim)
+            pivot = rng.randrange(codim)
+            unit = UnitPoly({
+                tuple(rng.randint(0, 3) for _ in range(dim)):
+                    (Fraction(rng.randint(-9, 9), rng.randint(1, 5)), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 6))})
+            pulled = unit.pullback(codim, pivot)
+            assert len(pulled.terms) == len(unit.terms)  # the exponent map is injective
+            y = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(dim)]
+            expected = unit(self.sigma(y, codim, pivot))
+            assert abs(pulled(y) - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
 class TestClosure:
     def test_xy_poset(self):
         m = NCModel(2, "global",

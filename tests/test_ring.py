@@ -134,6 +134,11 @@ class TestRealizations:
         assert e_polynomial(L - ONE) == UVPoly({(1, 1): 1, (0, 0): -1})
         assert e_polynomial(ONE) == UVPoly({(0, 0): 1})
 
+    def test_uv_text_form(self):
+        assert str(UVPoly({})) == "0"
+        assert str(e_polynomial(L - ONE)) == "-1 + 1*uv"
+        assert str(UVPoly({(2, 3): 4, (1, 0): 1, (0, 1): -2})) == "-2*v + 1*u + 4*u^2v^3"
+
     @given(polys, polys)
     def test_euler_is_ring_hom(self, a, b):
         assert euler_realization(a + b) == euler_realization(a) + euler_realization(b)
@@ -175,6 +180,11 @@ class TestKeyedClass:
     def test_text_form(self):
         assert str(KeyedClass({2: L - ONE, 1: ONE})) == "{1: 1, 2: -1 + 1*L}"
 
+    def test_truth_is_nonemptiness(self):
+        assert KeyedClass({1: L})
+        assert not KeyedClass()
+        assert not KeyedClass({1: L}) - KeyedClass({1: L})
+
 
 class TestZeta:
     def test_normalize_merges(self):
@@ -185,6 +195,12 @@ class TestZeta:
 
     def test_normalize_sorts(self):
         assert ZetaFactorization([(6, -1), (2, 1)]).factors == ((2, 1), (6, -1))
+
+    def test_degree_is_the_sum_of_order_times_exponent(self):
+        assert ZetaFactorization().degree == 0
+        assert ZetaFactorization([(2, 3), (5, -1)]).degree == 1
+        # merging and cancelling factors keeps the sum
+        assert ZetaFactorization([(2, 1), (2, 1), (3, -2), (3, 2)]).degree == 4
 
     def test_equal_distinguishes_expansions(self):
         # (1 - t^2) expands to 1 - t^2, while (1 - t)^2 is 1 - 2t + t^2
