@@ -20,6 +20,12 @@ the strata it touches.  ``apply_blowup`` produces the transformed model:
 before and after (zeta factorization, fibre Euler number, absolute class)
 and also reports the keyed delta, which is generally nonzero.
 
+A blow-up that issued no warning is kept on its centre as the pair
+``CenterSpec._last`` = (model, blown model), so ``check_invariance`` followed
+by ``apply_blowup`` with the same centre and model object builds the blown
+model once.  The pair lives on the centre and not on the model, so no model
+keeps its children (and through them a whole blow-up chain) alive.
+
 ``telescoping_check`` verifies the alternating-sum mechanism that makes the
 invariance work, symbolically in a free abelian group on two generators.
 """
@@ -61,9 +67,18 @@ class CenterSpec:
     classes are classes over the tracked point, so a centre outside the
     tracked locus has no legal description: every listed piece must hit a
     present stratum.
+
+    ``_last`` holds the last ``(model, blown model)`` pair ``apply_blowup``
+    built from this centre without a warning, so ``check_invariance``
+    followed by ``apply_blowup`` blows up once.  It lives on the centre, not
+    on the model: a memo on a model would tie each model to its child and
+    keep a whole blow-up chain alive while its root lives, while a centre
+    holds one pair at most.  Like every underscore slot it takes no part in
+    equality, hashing, the repr or pickling.
     """
 
-    __slots__ = ("containing", "transverse", "codim", "center_strata", "new_component_id")
+    __slots__ = ("containing", "transverse", "codim", "center_strata", "new_component_id",
+                 "_last")
 
     def __init__(self, containing: Iterable[str], transverse: Iterable[str], codim: int,
                  center_strata: Mapping, new_component_id: str):
@@ -81,6 +96,7 @@ class CenterSpec:
         object.__setattr__(self, "center_strata",
                            dict(sorted(cleaned.items(), key=lambda kv: sorted(kv[0]))))
         object.__setattr__(self, "new_component_id", str(new_component_id))
+        object.__setattr__(self, "_last", None)
 
     def __repr__(self) -> str:
         # sorted, since a frozenset's repr can change order when it is copied
@@ -185,11 +201,12 @@ def exceptional_fibre_strata(codim: int, contained: int, vanishing: int) -> Lefs
 
 
 def _subsets(items: Iterable[str]) -> list[frozenset[str]]:
-    ordered = sorted(items)
-    return [
-        frozenset(x for i, x in enumerate(ordered) if mask >> i & 1)
-        for mask in range(2 ** len(ordered))
-    ]
+    """Every subset of ``items``, the one at index ``mask`` holding the
+    sorted items whose bit is set in ``mask``."""
+    out = [frozenset()]
+    for x in sorted(items):
+        out += [s | {x} for s in out]
+    return out
 
 
 def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
@@ -200,7 +217,14 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
     A warning is emitted when subtracting a centre class leaves a stratum
     class with negative leading coefficient, which no variety class has;
     that normally indicates inconsistent input data.
+
+    A call that issued no warning keeps ``(model, result)`` on the centre,
+    and a later call with the same centre and the same model object returns
+    that result; see ``CenterSpec``.
     """
+    last = center._last
+    if last is not None and last[0] is model:
+        return last[1]
     problems = validate_center(model, center)
     if problems:
         raise InvalidModelError(problems)
@@ -211,6 +235,7 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
                                                exceptional_multiplicity),)
 
     strata: list[Stratum] = []
+    warned = False
     for stratum in model.strata:
         # validate_center keeps every key of center_strata inside transverse
         removed = (center.center_strata.get(stratum.components - k_ids)
@@ -224,6 +249,7 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
                 f"stratum {{{', '.join(sorted(stratum.components))}}}: class minus "
                 f"centre class has negative leading coefficient; "
                 f"check the centre data", stacklevel=2)
+            warned = True
         if new_cls:
             strata.append(Stratum(stratum.components, new_cls))
 
@@ -231,17 +257,21 @@ def apply_blowup(model: NCModel, center: CenterSpec) -> NCModel:
     # the fibre class depends on |Q| only
     fibres = [exceptional_fibre_strata(center.codim, len(k_ids), size)
               for size in range(len(k_ids) + 1)]
+    exceptional = frozenset((center.new_component_id,))
     for rest, centre_cls in center.center_strata.items():
         # so is the exceptional class: one product per (R, |Q|)
         pieces = [centre_cls * fibre for fibre in fibres]
+        stem = exceptional | rest
         for q_subset in q_subsets:
             cls = pieces[len(q_subset)]
             if cls:
-                strata.append(Stratum(
-                    {center.new_component_id} | q_subset | rest, cls))
+                strata.append(Stratum(stem | q_subset, cls))
 
     # chart data describes the old coordinates and does not transform
-    return NCModel(model.ambient_dim, model.mode, components, strata)
+    blown = NCModel(model.ambient_dim, model.mode, components, strata)
+    if not warned:  # so a warning is issued again on every call
+        object.__setattr__(center, "_last", (model, blown))
+    return blown
 
 
 @value_class

@@ -40,7 +40,10 @@ Tolerances: unit modulus and unit-vanishing cutoffs are 1e-12; the phase
 identities are certified to 1e-9 by the test suite.  A chart multiplicity
 is at most 10**12 = 1/PHASE_TOL, so |theta^N| <= e for every accepted phase
 theta; ``effective_unit`` turns an overflowing or non-finite unit into a
-``LogspaceError``.
+``LogspaceError``, and so does ``f_mot`` with its value.  A polar pair built
+from a computed value (``psi_inverse``, ``sigma_alog_chart``) that
+underflowed to zero or overflowed is a ``LogspaceError`` naming the
+coordinate.
 """
 
 from __future__ import annotations
@@ -91,6 +94,19 @@ class PolarCoord:
         if not self.finite:
             raise TopPointError("no complex value at the boundary circle")
         return self.radius * self.phase
+
+
+def _polar(coord: int, value: complex) -> PolarCoord:
+    """The polar pair of ``value`` at divisor coordinate ``coord``.  A value
+    that is zero or not finite (an underflow or overflow upstream) has none,
+    and raises ``LogspaceError`` naming the coordinate."""
+    try:
+        size = abs(value)
+    except OverflowError:  # both parts finite, the modulus too large
+        size = math.inf
+    if not 0 < size < math.inf:  # NaN fails too
+        raise LogspaceError(f"value at coordinate {coord} is zero or not finite")
+    return PolarCoord(size, value / size)
 
 
 @value_class
@@ -248,8 +264,13 @@ def f_mot(p: CplPoint) -> complex:
     if classify(p).tag != MOT:
         raise NonMotivicPointError("point has a coordinate at the boundary circle")
     value = effective_unit(p)
-    for coord, pc in p.polar:
-        value *= pc.value() ** p.chart.multiplicity(coord)
+    try:
+        for coord, pc in p.polar:
+            value *= pc.value() ** p.chart.multiplicity(coord)
+    except OverflowError:  # a complex power raises where a product gives inf
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise LogspaceError("value of the function is not finite at the point")
     return value
 
 
@@ -409,8 +430,11 @@ def psi_inverse(ctx: ChartContext, base: Sequence[complex], scale: complex,
     _, alpha = _bezout_for(ctx, coords)
     polar = {}
     for coord in coords:
-        value = scale ** alpha[coord] * residual[coord]
-        polar[coord] = PolarCoord(abs(value), value / abs(value))
+        try:
+            value = scale ** alpha[coord] * residual[coord]
+        except (OverflowError, ZeroDivisionError):  # |scale|^alpha is not finite
+            value = math.inf
+        polar[coord] = _polar(coord, value)
     return CplPoint(ctx, base, polar)
 
 
@@ -464,7 +488,7 @@ def sigma_alog_chart(codim: int, multiplicities: Mapping[int, int], unit: UnitPo
     polar = {}
     for k in multiplicities:
         v = exceptional if k == pivot else exceptional * values.get(k, up.base[k])
-        polar[k] = PolarCoord(abs(v), v / abs(v))
+        polar[k] = _polar(k, v)
     down_chart = Chart(len(up.base), {k: f"d{k}" for k in multiplicities}, unit)
     return CplPoint(ChartContext(down_chart, multiplicities),
                     (0j,) * codim + up.base[codim:], polar)

@@ -25,10 +25,12 @@ realizations of it that the package can compare exactly:
                      (-1)^(s+1) * (L-1)^(s-1) * sum of [stratum_J]
                      over J with |J| = s and gcd(N_i, i in J) = order.
 
-  ``keyed_class`` adds the stratum classes of each (order, |J|) bucket
-  first and multiplies once per bucket, so its per-stratum work is a gcd
-  and an addition.  The sums are exact, so the result equals the
-  term-by-term one.
+  ``keyed_class`` collects the coefficient tuples of each (order, |J|)
+  bucket, so its per-stratum work is a gcd and an append.  Each bucket is
+  then summed column by column in one C-level pass (``zip_longest`` and
+  ``sum``) and multiplied once by its torus factor.  The sums are exact,
+  so the result equals the term-by-term one, and a bucket whose classes
+  cancel adds nothing, so its key is dropped unless another size keeps it.
 
   Each keyed piece is an absolute term divided by one factor of (L-1), so
 
@@ -54,6 +56,7 @@ alpha_i with sum alpha_i * N_i = gcd, chosen deterministically by
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd
 from typing import Iterable
 
@@ -121,16 +124,21 @@ def absolute_from_keyed(keyed: KeyedClass) -> LefschetzPoly:
 def keyed_class(model: NCModel) -> KeyedClass:
     """Group terms by monodromy order; see the module note on non-invariance
     and on the (order, |J|) buckets."""
-    sums: dict[tuple[int, int], LefschetzPoly] = {}
+    multiplicity = {c.id: c.multiplicity for c in model.components}.__getitem__
+    buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for stratum in model.strata:
         ids = stratum.components
-        bucket = (gcd(*(model.multiplicity(cid) for cid in ids)), len(ids))
-        sums[bucket] = sums.get(bucket, ZERO) + stratum.cls
+        # an exact-size argument tuple: for gcd(*map(...)) CPython builds one
+        # of a guessed size and shrinks it, and the collector's allocation
+        # count never sees that tuple freed, so it collects more often
+        buckets.setdefault((gcd(*list(map(multiplicity, ids))), len(ids)), []).append(
+            stratum.cls.coeffs)
     entries: dict[int, LefschetzPoly] = {}
     torus_powers = [ONE]  # (L-1)^k at index k
-    for (order, size), total in sums.items():
+    for (order, size), coeffs in buckets.items():
         while len(torus_powers) < size:
             torus_powers.append(torus_powers[-1] * _L_MINUS_ONE)
+        total = LefschetzPoly.from_checked(list(map(sum, zip_longest(*coeffs, fillvalue=0))))
         piece = total * torus_powers[size - 1]
         previous = entries.get(order, ZERO)
         # sign (-1)^(|J|+1)

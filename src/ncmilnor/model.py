@@ -20,6 +20,11 @@ rejected so that presence always means nonempty.
 
 An ``NCModel`` is valid by construction: building one runs ``validate`` and
 raises ``InvalidModelError``, so the realizations never check a model again.
+``validate`` decides whether the strata are clean in a few C-level passes
+over the whole strata tuple (coefficient digits, duplicate subsets, empty
+subsets, zero classes, the degree bound, unknown ids), and only a model that
+fails one of them is checked stratum by stratum, so each violation keeps
+its message, locator and order.
 
 The on-disk form is a strict JSON document (unknown fields rejected), see
 ``load_model`` / ``save_model``.  Both run mostly at C speed on large
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, combinations, repeat
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .ring import ONE, ZERO, LefschetzPoly, value_class
@@ -277,14 +283,19 @@ class NCModel:
 # ---------------------------------------------------------------------------
 # validation
 
-# slot getters, with which validate reads every class coefficient at C level
-_stratum_cls, _poly_coeffs = Stratum.cls.__get__, LefschetzPoly.coeffs.__get__
+# slot getters, with which validate reads every stratum at C level
+_stratum_ids, _stratum_cls = Stratum.components.__get__, Stratum.cls.__get__
+_poly_coeffs = LefschetzPoly.coeffs.__get__
 
 
 def validate(model: NCModel) -> list[Violation]:
     """Every invariant violation of the model's fields, in field order; the
     list is empty iff the fields make a valid model.  ``NCModel`` runs this
-    on construction, so an existing instance always yields ``[]``."""
+    on construction, so an existing instance always yields ``[]``.
+
+    The strata are first judged clean or not in whole-tuple passes; only a
+    model that fails one of them is checked stratum by stratum, and that
+    check alone writes the strata violations."""
     out: list[Violation] = []
     if model.ambient_dim < 1:
         out.append(Violation("ambient_dim", f"must be positive, got {model.ambient_dim}"))
@@ -309,12 +320,22 @@ def validate(model: NCModel) -> list[Violation]:
         elif comp.multiplicity < 1:
             out.append(Violation(where, f"multiplicity must be >= 1, got {comp.multiplicity}"))
 
-    # one pass over every coefficient; strata are tested one by one only if
-    # some coefficient is too long
-    long_coeffs = max(map(abs, chain.from_iterable(map(_poly_coeffs, map(
-        _stratum_cls, model.strata)))), default=0) >= _INT_BOUND
+    # lists, as tuple(map(...)) shrinks a tuple of a guessed size (see the
+    # note in milnor.keyed_class)
+    id_sets = list(map(_stratum_ids, model.strata))
+    coeffs = list(map(_poly_coeffs, map(_stratum_cls, model.strata)))
+    sizes = list(map(len, id_sets))
+    # a class of degree d on J needs d <= ambient_dim - |J|, that is
+    # |J| + len(coeffs) <= ambient_dim + 1; with a nonzero class this also
+    # bounds |J| by ambient_dim
+    clean = (max(map(abs, chain.from_iterable(coeffs)), default=0) < _INT_BOUND
+             and len(model._classes) == len(id_sets)
+             and min(sizes, default=1) > 0
+             and all(coeffs)
+             and max(map(add, sizes, map(len, coeffs)), default=0) <= model.ambient_dim + 1
+             and set().union(*id_sets) <= seen_ids)
     seen_subsets: set[frozenset[str]] = set()
-    for idx, stratum in enumerate(model.strata):
+    for idx, stratum in enumerate(() if clean else model.strata):
         ids = stratum.components
         problems: list[str] = []
         if not ids:
@@ -334,7 +355,7 @@ def validate(model: NCModel) -> list[Violation]:
             if stratum.cls.degree > bound:
                 problems.append(
                     f"class degree {stratum.cls.degree} exceeds dimension bound {bound}")
-            if long_coeffs and max(map(abs, stratum.cls.coeffs)) >= _INT_BOUND:
+            if max(map(abs, stratum.cls.coeffs)) >= _INT_BOUND:
                 problems.append(f"class coefficient has more than {MAX_INT_DIGITS} digits")
         if problems:
             # the locator sorts the ids, so it is built for failing strata only
@@ -433,6 +454,10 @@ _encode_str = json.encoder.encode_basestring_ascii  # the encoder json.dumps use
 _encode_int = int.__repr__  # as json.dumps does; repr(True) would be 'True'
 _PAD = tuple("\n" + "  " * depth for depth in range(7))  # indent=2, depth 0..6
 _SEP = tuple("," + pad for pad in _PAD)
+# one item of the strata array, at depth 3; a valid model has no empty
+# subset and no zero class, so neither inner array is ever written "[]"
+_STRATUM = "".join(("{", _PAD[3], '"components": [', _PAD[4], "%s", _PAD[3], "],",
+                    _PAD[3], '"class": [', _PAD[4], "%s", _PAD[3], "]", _PAD[2], "}"))
 
 # the key set of a stratum item, comparable with the keys of any dict
 _STRATUM_KEYS = dict.fromkeys(("components", "class")).keys()
@@ -627,13 +652,6 @@ def _layout(encoded: Iterable[str], depth: int, brackets: str = "[]") -> str:
     return brackets[0] + _PAD[depth] + body + _PAD[depth - 1] + brackets[1]
 
 
-def _stratum_json(stratum: Stratum) -> str:
-    return _layout((
-        '"components": ' + _layout(map(_encode_str, sorted(stratum.components)), 4),
-        '"class": ' + _layout(map(_encode_int, stratum.cls.coeffs), 4),
-    ), 3, "{}")
-
-
 def _chart_json(chart: Chart) -> str:
     coords = (f"{_encode_str(str(k))}: {_encode_str(v)}" for k, v in chart.divisor_coords)
     terms = (
@@ -659,6 +677,16 @@ def save_model(model: NCModel) -> str:
     an exact ``int``; a ``bool`` in an integer field is written as ``1`` or
     ``0``, so it reads back as the integer it stands for.  The keys are
     ASCII names, so they are written already encoded."""
+    # each component id and each distinct class is encoded once (strata share
+    # classes: every corner of a surface is a point, of class 1); the raw ids
+    # are sorted, since an escape changes the order: U+00E9 sorts after "z",
+    # but "\u00e9" before it
+    encoded = {c.id: _encode_str(c.id) for c in model.components}.__getitem__
+    join = _SEP[4].join
+    coeffs = list(map(_poly_coeffs, map(_stratum_cls, model.strata)))
+    class_text = {c: join(map(_encode_int, c)) for c in set(coeffs)}.__getitem__
+    strata = [_STRATUM % (join(map(encoded, sorted(ids))), class_text(c))
+              for ids, c in zip(map(_stratum_ids, model.strata), coeffs)]
     members = [
         '"ambient_dim": ' + _encode_int(model.ambient_dim),
         '"mode": ' + _encode_str(model.mode),
@@ -666,7 +694,7 @@ def save_model(model: NCModel) -> str:
             _layout(('"id": ' + _encode_str(c.id),
                      '"multiplicity": ' + _encode_int(c.multiplicity)), 3, "{}")
             for c in model.components), 2),
-        '"strata": ' + _layout(map(_stratum_json, model.strata), 2),
+        '"strata": ' + _layout(strata, 2),
     ]
     if model.charts:
         members.append('"charts": ' + _layout(map(_chart_json, model.charts), 2))

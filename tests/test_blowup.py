@@ -1,7 +1,9 @@
 """Blow-up transform, invariance of the realizations, telescoping identity."""
 
+import copy
 import itertools
 import json
+import pickle
 import warnings
 from math import comb
 
@@ -406,6 +408,14 @@ class TestValidateOnce:
         assert seen[0] is model and seen[1] is not model
         assert "E" in seen[1].component_ids()
 
+    def test_apply_blowup_after_check_invariance_builds_nothing(self, seen):
+        model = arrangement(4)
+        center = point_center(["x0", "x1"], codim=4)
+        check_invariance(model, center)
+        assert len(seen) == 2
+        assert apply_blowup(model, center) is seen[1]
+        assert len(seen) == 2
+
     def test_realizations_do_not_validate(self, seen):
         model = builtin_example("cusp_resolved")
         seen.clear()
@@ -415,6 +425,71 @@ class TestValidateOnce:
         motivic_terms(model)
         psi_data(model, {"e2", "e6"})
         assert seen == []
+
+
+def hash_outcome(value):
+    """``hash(value)``, or the message of the ``TypeError`` it raises (a
+    centre holds its pieces in a dict, so it has no hash)."""
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+class TestOneBlowupPerCentre:
+    """A centre keeps the last blow-up it gave without a warning, for the
+    model object it was given."""
+
+    def test_same_centre_and_model(self):
+        model = arrangement(4)
+        center = point_center(["x0", "x1"], codim=4)
+        assert apply_blowup(model, center) is apply_blowup(model, center)
+
+    def test_equal_centre_builds_again(self):
+        model = arrangement(4)
+        blown = apply_blowup(model, point_center(["x0", "x1"], codim=4))
+        again = apply_blowup(model, point_center(["x0", "x1"], codim=4))
+        assert again is not blown and again == blown
+
+    def test_other_model_builds_again(self):
+        center = point_center(["x0", "x1"], codim=4)
+        blown = apply_blowup(arrangement(4), center)
+        again = apply_blowup(arrangement(4), center)  # equal, not the same object
+        assert again is not blown and again == blown
+        other = apply_blowup(arrangement(5), center)
+        assert len(other.components) == 6 and other != blown
+
+    def test_warning_is_issued_on_every_call(self):
+        model = builtin_example("smooth")
+        center = CenterSpec(("x",), (), 2, {frozenset(): LefschetzPoly((2,))}, "E")
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="negative leading coefficient"):
+                apply_blowup(model, center)
+
+    @pytest.mark.parametrize("case", ["bad centre", "blown model over the digit bound"])
+    def test_error_is_raised_on_every_call(self, case):
+        if case == "bad centre":
+            model, center = arrangement(4), point_center(["x0", "ghost"], codim=4)
+        else:
+            half = 10**1000 // 2 + 1
+            model = NCModel(2, "local", [Component("x", half), Component("y", half)],
+                            [Stratum({"x", "y"}, ONE)])
+            center = point_center(["x", "y"], codim=2)
+        for _ in range(2):
+            with pytest.raises(InvalidModelError):
+                apply_blowup(model, center)
+
+    def test_used_centre_is_a_plain_value(self):
+        model = arrangement(4)
+        used = point_center(["x0", "x1"], codim=4)
+        blown = apply_blowup(model, used)
+        fresh = point_center(["x0", "x1"], codim=4)
+        assert used == fresh and repr(used) == repr(fresh)
+        assert hash_outcome(used) == hash_outcome(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
+            assert twin == fresh
+            assert apply_blowup(model, twin) is not blown
 
 
 def count_products(monkeypatch, fn, *args):

@@ -170,6 +170,15 @@ class TestFMot:
                 gap = cmath.phase(f_mot(p) / sign_f(p))
                 assert abs(gap) < 1e-9
 
+    @pytest.mark.parametrize("name, radius", [
+        ("power_2", 1e200),  # the complex power raises OverflowError
+        ("power_100", 1e10),  # the complex power returns nan+nanj
+    ])
+    def test_value_out_of_float_range(self, name, radius):
+        p = CplPoint(ctx_for(name), (0,), {0: PolarCoord(radius, 1 + 0j)})
+        with pytest.raises(LogspaceError, match="value of the function is not finite"):
+            f_mot(p)
+
 
 class TestQuotientAndSimplex:
     def test_quotient_to_top(self):
@@ -382,6 +391,13 @@ class TestPsi:
         with pytest.raises(NonMotivicPointError):
             psi_map(make_xy_point(r1=INF))
 
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_value_out_of_float_range(self, size):
+        # value_1 = scale^alpha_1 * w_1 with alpha = (-1, 1) underflows to 0
+        # or overflows; neither has a polar pair
+        with pytest.raises(LogspaceError, match="value at coordinate 1 is zero or not finite"):
+            psi_inverse(ctx_for("xa_yb_2_3"), (0j, 0j), size, {0: size, 1: size})
+
 
 class TestSigmaChart:
     def test_xy_open_exceptional_point(self):
@@ -425,6 +441,12 @@ class TestSigmaChart:
                              {0: PolarCoord(INF, 1)})
         with pytest.raises(LogspaceError, match="vanishes but has no polar data"):
             sigma_alog_chart(2, {0: 1, 1: 1}, unit, 0, (0j, 0j), {0: PolarCoord(1, 1)})
+
+    def test_downstairs_value_underflow(self):
+        # the value at coordinate 1 is 1e-200 * 1e-200, which is 0 in floats
+        with pytest.raises(LogspaceError, match="value at coordinate 1 is zero or not finite"):
+            sigma_alog_chart(2, {0: 1, 1: 1}, UnitPoly.constant(1), 0, (0j, 1e-200 + 0j),
+                             {0: PolarCoord(1e-200, 1 + 0j)})
 
     def test_diagram_commutes_on_random_points(self):
         rng = random.Random(29)

@@ -5,9 +5,10 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ncmilnor.blowup import CenterSpec, apply_blowup, point_center
 from ncmilnor.milnor import keyed_class, motivic_terms, naive_absolute_class
@@ -440,6 +441,99 @@ def blown_arrangements(seed):
         yield apply_blowup(model, CenterSpec(k_ids, rest, len(k_ids), pieces, "E"))
 
 
+def reference_strata_violations(ambient_dim, component_ids, strata):
+    """The strata part of ``validate``, written stratum by stratum: each
+    stratum's problems in check order, located by index and sorted ids."""
+    out, seen = [], set()
+    for idx, stratum in enumerate(strata):
+        ids, coeffs = stratum.components, stratum.cls.coeffs
+        problems = []
+        if not ids:
+            problems.append("stratum subset must be nonempty")
+        if ids in seen:
+            problems.append("duplicate stratum subset")
+        seen.add(ids)
+        unknown = sorted(ids - set(component_ids))
+        if unknown:
+            problems.append(f"unknown component ids {unknown}")
+        if len(ids) > ambient_dim:
+            problems.append(f"|J| = {len(ids)} exceeds ambient_dim {ambient_dim}")
+        if not coeffs:
+            problems.append("empty stratum must be omitted, not stored with class 0")
+        else:
+            bound = ambient_dim - len(ids)
+            if len(coeffs) - 1 > bound:
+                problems.append(f"class degree {len(coeffs) - 1} exceeds dimension bound {bound}")
+            if any(abs(c) >= BIG for c in coeffs):
+                problems.append("class coefficient has more than 1000 digits")
+        where = f"strata[{idx}] ({{{', '.join(sorted(ids))}}})"
+        out += [f"{where}: {problem}" for problem in problems]
+    return out
+
+
+DEFECTS = ("duplicate subset", "unknown id", "zero class", "degree over the bound",
+           "|J| over ambient_dim", "empty subset", "over-long coefficient")
+
+
+@st.composite
+def fields_with_one_bad_stratum(draw):
+    """The fields of a model from ``valid_models`` with one stratum that
+    breaks one rule inserted at a drawn position.  A fresh subset replaces
+    any stratum already on it, so the other strata stay valid."""
+    model = draw(valid_models())
+    n, ids = model.ambient_dim, model.component_ids()
+    strata = list(model.strata)
+
+    def subset(min_size, max_size):
+        drawn = frozenset(draw(st.lists(st.sampled_from(ids), min_size=min_size,
+                                        max_size=max_size, unique=True)))
+        strata[:] = [s for s in strata if s.components != drawn]
+        return drawn
+
+    defect = draw(st.sampled_from(DEFECTS))
+    fits = min(n, len(ids))  # the most ids a valid stratum can have
+    if defect == "duplicate subset":
+        if not strata:
+            strata.append(Stratum(subset(1, fits), ONE))
+        bad = Stratum(draw(st.sampled_from(strata)).components, ONE)
+    elif defect == "unknown id":
+        bad = Stratum(subset(0, fits - 1) | {"ghost"}, ONE)
+    elif defect == "zero class":
+        bad = Stratum(subset(1, fits), LefschetzPoly())
+    elif defect == "degree over the bound":
+        on = subset(1, fits)
+        excess = draw(st.integers(min_value=1, max_value=3))
+        bad = Stratum(on, LefschetzPoly.monomial(n - len(on) + excess))
+    elif defect == "|J| over ambient_dim":
+        assume(len(ids) > n)
+        bad = Stratum(subset(n + 1, len(ids)), ONE)
+    elif defect == "empty subset":
+        bad = Stratum((), ONE)
+    else:
+        on = subset(1, fits)
+        coeffs = [1] * draw(st.integers(min_value=1, max_value=n - len(on) + 1))
+        coeffs[draw(st.integers(min_value=0, max_value=len(coeffs) - 1))] = draw(
+            st.sampled_from((BIG, -BIG)))
+        bad = Stratum(on, LefschetzPoly(coeffs))
+    strata.insert(draw(st.integers(min_value=0, max_value=len(strata))), bad)
+    return model.ambient_dim, model.mode, model.components, strata, model.charts
+
+
+class TestValidateOracle:
+    """``validate`` judges the strata in whole-tuple passes and lists their
+    violations only when one pass fails; the list is that of a plain
+    stratum-by-stratum check, whichever rule the bad stratum breaks."""
+
+    @given(fields_with_one_bad_stratum())
+    def test_one_bad_stratum(self, fields):
+        ambient_dim, _, components, strata, _ = fields
+        with pytest.raises(InvalidModelError) as exc:
+            NCModel(*fields)
+        # a model from valid_models has no component or chart violation
+        assert [str(v) for v in exc.value.violations] == reference_strata_violations(
+            ambient_dim, [c.id for c in components], strata)
+
+
 class TestRandomRoundTrip:
     @given(valid_models())
     def test_random_models_round_trip(self, model):
@@ -611,6 +705,42 @@ class TestIndexedLookups:
     def test_keyed_class_is_the_grouped_term_sum(self, model):
         # one product per term, against keyed_class's one per (order, |J|)
         assert keyed_class(model) == grouped_term_sum(model)
+
+
+def term_by_term_keyed(model):
+    """``keyed_class`` from its definition, one stratum at a time: J adds
+    (-1)^(|J|+1) * [J] * (L-1)^(|J|-1) under the key gcd(N_i, i in J)."""
+    multiplicity = {c.id: c.multiplicity for c in model.components}
+    entries = {}
+    for stratum in model.strata:
+        size = len(stratum.components)
+        key = gcd(*(multiplicity[cid] for cid in stratum.components))
+        term = (-1) ** (size + 1) * stratum.cls * LM1 ** (size - 1)
+        entries[key] = entries.get(key, LefschetzPoly.zero()) + term
+    return KeyedClass(entries)
+
+
+class TestKeyedClassOracle:
+    @given(valid_models())
+    def test_random_models(self, model):
+        assert keyed_class(model) == term_by_term_keyed(model)
+
+    def test_blown_arrangements(self):
+        for blown in blown_arrangements(7):
+            assert keyed_class(blown) == term_by_term_keyed(blown)
+
+    def test_cancelling_bucket_drops_its_key(self):
+        # {x} and {y} share the bucket (order 2, |J| = 1) and cancel
+        components = [Component("x", 2), Component("y", 2), Component("z", 3)]
+        strata = [Stratum({"x"}, ONE), Stratum({"y"}, -ONE), Stratum({"z"}, LM1 + ONE)]
+        model = NCModel(2, "global", components, strata)
+        assert keyed_class(model) == term_by_term_keyed(model)
+        assert keyed_class(model).entries == {3: LefschetzPoly((0, 1))}
+        # a stratum of another size keeps the key
+        model = NCModel(2, "global", components, strata + [Stratum({"x", "y"}, ONE)])
+        assert keyed_class(model) == term_by_term_keyed(model)
+        assert keyed_class(model).entries == {2: LefschetzPoly((1, -1)),
+                                              3: LefschetzPoly((0, 1))}
 
 
 class TestBuiltins:
