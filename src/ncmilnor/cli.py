@@ -56,11 +56,18 @@ def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
+#: Most ``monodromy-demo`` steps.  The command keeps one table row per step,
+#: so without a bound its memory would grow with the value of ``--steps``.
+MAX_STEPS = 10_000
+
+
+def _step_count(text: str) -> int:
+    """argparse type for ``--steps``: from 1 to ``MAX_STEPS``."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_STEPS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_STEPS}, got {value}")
     return value
 
 
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True,
                    help='point as JSON {"base": [[re, im], ...], "polar": '
                         '[{"i": k, "r": value or "inf", "theta": [re, im]}]}')
-    p.add_argument("--steps", type=_positive_int, default=8)
+    p.add_argument("--steps", type=_step_count, default=8)
     p.set_defaults(func=_cmd_monodromy_demo)
 
     p = sub.add_parser("examples", help="write a built-in example model")

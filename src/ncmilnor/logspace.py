@@ -43,7 +43,9 @@ theta; ``effective_unit`` turns an overflowing or non-finite unit into a
 ``LogspaceError``, and so does ``f_mot`` with its value.  A polar pair built
 from a computed value (``psi_inverse``, ``sigma_alog_chart``) that
 underflowed to zero or overflowed is a ``LogspaceError`` naming the
-coordinate.
+coordinate, and so is a radius whose clock speed is not finite (``xi``).
+``psi_map`` raises ``LogspaceError`` when its scale or a residual
+underflows to zero or overflows.
 """
 
 from __future__ import annotations
@@ -282,10 +284,19 @@ def quotient_to_top(p: CplPoint) -> CplPoint:
 
 
 def xi(p: CplPoint) -> dict[int, float]:
-    """Clock speeds xi_i = 1/(r_i N_i), zero exactly at infinite radius."""
+    """Clock speeds xi_i = 1/(r_i N_i), zero exactly at infinite radius.
+
+    A finite radius so small (a subnormal float) that its speed is not
+    finite raises ``LogspaceError`` naming the coordinate: an infinite
+    speed would send the point to the boundary in
+    ``simplex_representative``."""
     out = {}
     for coord, pc in p.polar:
-        out[coord] = 0.0 if not pc.finite else 1.0 / (pc.radius * p.chart.multiplicity(coord))
+        speed = 1.0 / (pc.radius * p.chart.multiplicity(coord)) if pc.finite else 0.0
+        if math.isinf(speed):
+            raise LogspaceError(f"clock speed at coordinate {coord} is not finite: "
+                                f"radius {pc.radius!r} is too small")
+        out[coord] = speed
     return out
 
 
@@ -409,17 +420,24 @@ def _bezout_for(ctx: ChartContext, coords: Sequence[int]) -> tuple[int, dict[int
 
 def psi_map(p: CplPoint) -> PsiImage:
     """Split the torus of divisor values into a scale times a constrained
-    residual torus, using Bezout coefficients for the multiplicities."""
+    residual torus, using Bezout coefficients for the multiplicities.  A
+    scale or residual that underflows to zero or overflows raises
+    ``LogspaceError``."""
     if classify(p).tag != MOT:
         raise NonMotivicPointError("the Bezout splitting lives on the algebraic part")
     coords = list(p.vanishing())
     order, alpha = _bezout_for(p.chart, coords)
     values = {coord: pc.value() for coord, pc in p.polar}
     scale = 1.0 + 0.0j
-    for coord in coords:
-        scale *= values[coord] ** (p.chart.multiplicity(coord) // order)
-    residual = tuple(
-        (coord, scale ** (-alpha[coord]) * values[coord]) for coord in coords)
+    try:
+        for coord in coords:
+            scale *= values[coord] ** (p.chart.multiplicity(coord) // order)
+        residual = tuple(
+            (coord, scale ** (-alpha[coord]) * values[coord]) for coord in coords)
+    except (OverflowError, ZeroDivisionError):  # a power out of float range, or 0 ** -a
+        scale, residual = math.inf, ()
+    if not (scale and cmath.isfinite(scale) and all(w and cmath.isfinite(w) for _, w in residual)):
+        raise LogspaceError("Bezout splitting is zero or not finite at the point")
     return PsiImage(p.base, scale, residual, order)
 
 

@@ -39,7 +39,8 @@ failure of the JSON parser, nesting too deep and over-long integers
 included, is a ``ModelParseError``.
 
 The value types (``Component``, ``Stratum``, ``UnitPoly``, ``NCModel`` and
-the rest) are slotted classes completed by ``ring.value_class``, and
+the rest) are slotted classes completed by ``ring.value_class``
+(``NCModel`` writes its own ``__eq__`` and ``__hash__``, on its indexes), and
 ``fractions`` is imported only when a chart unit is built or parsed, so
 importing this module stays cheap.
 """
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, combinations, repeat
-from operator import add
+from operator import add, attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .ring import ONE, ZERO, LefschetzPoly, value_class
@@ -243,8 +244,16 @@ class NCModel:
     raises ``InvalidModelError`` with the violations, so code that holds an
     ``NCModel`` need not check it again.  The instance is immutable, so its
     lookups are indexed once, at construction: ``multiplicity`` and
-    ``stratum_class`` are dict lookups.  Equality compares the five fields
-    only.
+    ``stratum_class`` are dict lookups.
+
+    The order in which a document lists components and strata is not part
+    of the geometry, so the normal form compares the two indexes, {id: N}
+    and {subset: class}, in place of the ``components`` and ``strata``
+    tuples: equality is that of ``(ambient_dim, mode, {id: N},
+    {subset: class}, charts)``, and the hash is over the same data.  Charts
+    keep their order, since ``--chart`` indexes them.  ``components`` and
+    ``strata`` keep document order, and ``save_model`` writes that order, so
+    ``a == b`` does not imply ``save_model(a) == save_model(b)``.
     """
 
     __slots__ = ("ambient_dim", "mode", "components", "strata", "charts",
@@ -264,6 +273,19 @@ class NCModel:
         if violations:
             raise InvalidModelError(violations)
 
+    def __eq__(self, other):
+        """Equal ``ambient_dim``, ``mode`` and charts, and equal indexes in
+        any document order."""
+        if other.__class__ is self.__class__:
+            return _normal_form(self) == _normal_form(other)
+        return NotImplemented
+
+    def __hash__(self):
+        """The hash of the same data, each index as the frozenset of its items."""
+        dim, mode, multiplicities, classes, charts = _normal_form(self)
+        return hash((dim, mode, frozenset(multiplicities.items()),
+                     frozenset(classes.items()), charts))
+
     # -- lookups
 
     def component_ids(self) -> tuple[str, ...]:
@@ -278,6 +300,11 @@ class NCModel:
     def stratum_class(self, subset: Iterable[str]) -> LefschetzPoly:
         """Class of the stratum on exactly ``subset``; zero when absent."""
         return self._classes.get(frozenset(subset), ZERO)
+
+
+# what an NCModel compares and hashes: its indexes stand for the ordered
+# components and strata
+_normal_form = attrgetter("ambient_dim", "mode", "_multiplicities", "_classes", "charts")
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ Everything is immutable and side-effect free.  Each of the four types
 computes its normal form in its own ``__init__``, and equality of values is
 equality of normal forms.  ``value_class`` completes them, and every other
 immutable value type of the package, with equality, hashing, the repr,
-immutability and pickling; a type whose single field is a term map (a
-``dict``) is hashed on the frozenset of its items.  It lives here because
-this module imports no other module of the package.
+immutability and pickling.  It has one hash rule (a ``dict`` field, a term
+map or a centre's pieces, is hashed as the frozenset of its items) and one
+override rule (a method the class writes itself is kept).  It lives here
+because this module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ def _field_repr(value) -> str:
     return repr(value)
 
 
+def _hash_form(value):
+    """A field value as the hash reads it: a ``dict`` as the frozenset of its
+    items, since equal dicts hold equal items in any order."""
+    return frozenset(value.items()) if value.__class__ is dict else value
+
+
 def value_class(cls: type) -> type:
     """Complete a class that lists its fields in ``__slots__`` the way
     ``@dataclass(frozen=True)`` would, at a fraction of the import cost.
@@ -65,36 +72,30 @@ def value_class(cls: type) -> type:
     and takes no part in equality, hashing, the repr or pickling.  The class
     gets:
 
-    * ``__init__(self, field, ...)``, positional or keyword, unless it
-      writes its own (which then sets each slot with ``object.__setattr__``);
+    * ``__init__(self, field, ...)``, positional or keyword (a class that
+      writes its own sets each slot with ``object.__setattr__``);
     * ``==`` true only between instances of the same class with equal
-      fields, and the matching ``hash``, on the tuple of field values, or on
-      the bare value of a single field (a ``dict`` as the frozenset of its
-      items, since equal dicts hold equal items in any order);
+      fields, and the matching ``hash``: of the tuple of field values, or of
+      the bare value of a single field, with every ``dict`` value hashed as
+      the frozenset of its items;
     * the dataclass repr ``Name(field=value!r, ...)``, and ``Name(value!r)``
       for a single field, in which a frozenset lists its elements sorted, so
-      the text does not depend on the hash seed; a class's own ``__repr__``
-      is kept;
+      the text does not depend on the hash seed;
     * ``AttributeError`` on assignment and deletion;
     * ``__reduce__``, which rebuilds an instance by calling the class with
       its field values, so ``pickle``, ``copy`` and ``deepcopy`` work.
+
+    Each of these methods that the class writes itself is kept.  So a class
+    whose normal form is not its field tuple writes ``__eq__`` and
+    ``__hash__`` together (Python leaves a class that writes ``__eq__``
+    alone with no hash).
     """
     fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
     values = attrgetter(*fields)  # of a single name, the bare value
     args = values if len(fields) > 1 else lambda self: (values(self),)
+    hash_form = (lambda row: tuple(map(_hash_form, row))) if len(fields) > 1 else _hash_form
     labels = [f"{name}=" for name in fields] if len(fields) > 1 else [""]
-
-    if "__init__" not in cls.__dict__:
-        # a generated signature, as dataclasses writes one: positional and
-        # keyword calls bind at C speed, and each slot is set through its
-        # descriptor, past the __setattr__ that refuses assignment
-        setters = {f"set_{name}": cls.__dict__[name].__set__ for name in fields}
-        source = f"def __init__(self, {', '.join(fields)}):\n" + "".join(
-            f"    set_{name}(self, {name})\n" for name in fields)
-        exec(source, setters)
-        init = setters["__init__"]
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
+    own = set(cls.__dict__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -102,8 +103,7 @@ def value_class(cls: type) -> type:
         return NotImplemented
 
     def __hash__(self):
-        value = values(self)
-        return hash(frozenset(value.items()) if value.__class__ is dict else value)
+        return hash(hash_form(values(self)))
 
     def __repr__(self):
         body = ", ".join(f"{label}{_field_repr(value)}"
@@ -119,12 +119,20 @@ def value_class(cls: type) -> type:
     def __reduce__(self):
         return self.__class__, args(self)
 
-    own = {"__repr__"} & cls.__dict__.keys()
-    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__, __reduce__):
-        if method.__name__ in own:
-            continue
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        setattr(cls, method.__name__, method)
+    methods = [__eq__, __hash__, __repr__, __setattr__, __delattr__, __reduce__]
+    if "__init__" not in own:  # exec costs import time, so only when it is used
+        # a generated signature, as dataclasses writes one: positional and
+        # keyword calls bind at C speed, and each slot is set through its
+        # descriptor, past the __setattr__ that refuses assignment
+        setters = {f"set_{name}": cls.__dict__[name].__set__ for name in fields}
+        source = f"def __init__(self, {', '.join(fields)}):\n" + "".join(
+            f"    set_{name}(self, {name})\n" for name in fields)
+        exec(source, setters)
+        methods.append(setters["__init__"])
+    for method in methods:
+        if method.__name__ not in own:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
     cls.__match_args__ = fields
     return cls
 

@@ -427,15 +427,6 @@ class TestValidateOnce:
         assert seen == []
 
 
-def hash_outcome(value):
-    """``hash(value)``, or the message of the ``TypeError`` it raises (a
-    centre holds its pieces in a dict, so it has no hash)."""
-    try:
-        return hash(value)
-    except TypeError as exc:
-        return str(exc)
-
-
 class TestOneBlowupPerCentre:
     """A centre keeps the last blow-up it gave without a warning, for the
     model object it was given."""
@@ -485,7 +476,7 @@ class TestOneBlowupPerCentre:
         blown = apply_blowup(model, used)
         fresh = point_center(["x0", "x1"], codim=4)
         assert used == fresh and repr(used) == repr(fresh)
-        assert hash_outcome(used) == hash_outcome(fresh)
+        assert hash(used) == hash(fresh)
         assert pickle.dumps(used) == pickle.dumps(fresh)
         for twin in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
             assert twin == fresh
@@ -681,5 +672,4 @@ class TestFanOracle:
                 sorted((cone for cone in fan.cones if len(cone) >= 2), key=sorted)))
             model = apply_blowup(model, fan.centre(sigma, f"E{step}"))
             fan.subdivide(sigma, f"E{step}")
-            assert {c.id: c.multiplicity for c in model.components} == fan.multiplicities()
-            assert {s.components: s.cls for s in model.strata} == fan.classes()
+            assert model == fan.model()  # the fan lists its rays and cones in set order

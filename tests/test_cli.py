@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ncmilnor
-from ncmilnor.cli import main
+from ncmilnor.cli import MAX_STEPS, main
 from ncmilnor.blowup import point_center, save_center
 from ncmilnor.milnor import naive_absolute_class
 from ncmilnor.model import (
@@ -353,7 +353,13 @@ class TestNumericCommands:
         ["monodromy-demo", "--point",
          json.dumps(XY_POINT).replace("[1.0, 0.0]", "[NaN, 0.0]", 1)],
         ["recover", "--point", "[[NaN,0],[0,0]]"],
-    ], ids=["steps-0", "steps-negative", "samples-4", "nan-phase", "nan-base"])
+        # argparse rejects the count before a row is built
+        ["monodromy-demo", "--point", json.dumps(XY_POINT), "--steps", str(MAX_STEPS + 1)],
+        # a clock speed 1/r that overflows would send the point to the boundary
+        ["monodromy-demo", "--steps", "2", "--point",
+         json.dumps(XY_POINT).replace('"r": 1.0', '"r": 1e-320')],
+    ], ids=["steps-0", "steps-negative", "samples-4", "nan-phase", "nan-base",
+            "steps-too-many", "subnormal-radius"])
     def test_out_of_range_input_exits_2(self, capsys, xy_path, argv):
         # exit 1 is reserved for a computed inequality
         try:
@@ -362,7 +368,7 @@ class TestNumericCommands:
             code = exc.code
         captured = capsys.readouterr()
         assert code == 2
-        assert "error:" in captured.err
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

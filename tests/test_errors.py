@@ -21,12 +21,17 @@ from ncmilnor.logspace import (
     UnwrapError,
     chart_context,
     f_mot,
+    in_simplex,
+    monodromy,
     point_from_json,
+    psi_map,
     pullback_motivic_value,
     recover_multiplicities,
     sigma_alog_chart,
     sigma_log_fibre_point,
     sign_oracle,
+    simplex_representative,
+    xi,
 )
 from ncmilnor.model import (
     MAX_STRATA,
@@ -71,6 +76,19 @@ def stepping_oracle(turns_at):
     calls = count()
     return lambda phases: 1j ** min(next(calls), turns_at)
 
+
+def tiny_radius_point():
+    """An algebraic point of ``xy`` whose radii are subnormal floats."""
+    return CplPoint(xy_ctx(), (0j, 0j), {0: PolarCoord(1e-320, 1 + 0j), 1: PolarCoord(1e-320, 1j)})
+
+
+def xayb_point(radius):
+    return CplPoint(chart_context(builtin_example("xa_yb_2_3")), (0j, 0j),
+                    {0: PolarCoord(radius, 1 + 0j), 1: PolarCoord(radius, 1j)})
+
+
+TINY_RADIUS = "clock speed at coordinate 0 is not finite: radius 1e-320 is too small"
+BEZOUT_RANGE = "Bezout splitting is zero or not finite at the point"
 
 # (id, callable, exception type, exact message)
 RAISES = [
@@ -166,6 +184,15 @@ RAISES = [
      "downstairs phase must be unit modulus"),
     ("point-document", lambda: point_from_json(xy_ctx(), {}), LogspaceError,
      "bad point document: 'base'"),
+    ("xi-subnormal-radius", lambda: xi(tiny_radius_point()), LogspaceError, TINY_RADIUS),
+    ("simplex-subnormal-radius", lambda: simplex_representative(tiny_radius_point()),
+     LogspaceError, TINY_RADIUS),
+    ("in-simplex-subnormal-radius", lambda: in_simplex(tiny_radius_point()), LogspaceError,
+     TINY_RADIUS),
+    ("monodromy-subnormal-radius", lambda: monodromy(tiny_radius_point(), 0.5), LogspaceError,
+     TINY_RADIUS),
+    ("psi-map-overflow", lambda: psi_map(xayb_point(1e200)), LogspaceError, BEZOUT_RANGE),
+    ("psi-map-underflow", lambda: psi_map(xayb_point(1e-200)), LogspaceError, BEZOUT_RANGE),
 ]
 
 

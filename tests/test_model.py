@@ -547,6 +547,66 @@ class TestRandomRoundTrip:
         assert save_model(load_model(text)) == text
 
 
+def reference_equal(a, b):
+    """Model equality read off the maps {id: N} and {subset: class}, with
+    the other fields, charts in order, compared as they are."""
+    return ((a.ambient_dim, a.mode, a.charts) == (b.ambient_dim, b.mode, b.charts)
+            and {c.id: c.multiplicity for c in a.components}
+            == {c.id: c.multiplicity for c in b.components}
+            and {s.components: s.cls for s in a.strata} == {s.components: s.cls for s in b.strata})
+
+
+def with_fields(model, components=None, strata=None, charts=None):
+    return NCModel(model.ambient_dim, model.mode,
+                   model.components if components is None else components,
+                   model.strata if strata is None else strata,
+                   model.charts if charts is None else charts)
+
+
+class TestOrderFreeEquality:
+    """Equality and hash read the indexes, not the order of the lists; the
+    saved bytes keep that order."""
+
+    @given(valid_models(), st.data())
+    def test_permuted_lists(self, model, data):
+        components = data.draw(st.permutations(model.components))
+        strata = data.draw(st.permutations(model.strata))
+        permuted = with_fields(model, components, strata)
+        assert reference_equal(permuted, model)
+        assert permuted == model and hash(permuted) == hash(model)
+        saved = load_model(save_model(permuted))
+        assert saved.components == tuple(components) and saved.strata == tuple(strata)
+
+    @given(valid_models(), st.data())
+    def test_one_change(self, model, data):
+        changed = []
+        i = data.draw(st.integers(min_value=0, max_value=len(model.components) - 1))
+        components = list(model.components)
+        components[i] = Component(components[i].id, components[i].multiplicity + 1)
+        changed.append(with_fields(model, components=components))
+        if model.strata:
+            j = data.draw(st.integers(min_value=0, max_value=len(model.strata) - 1))
+            strata = list(model.strata)
+            first, *rest = strata[j].cls.coeffs
+            # a shift that keeps the class nonzero and its degree
+            first += 1 if first != -1 else -1
+            strata[j] = Stratum(strata[j].components, LefschetzPoly((first, *rest)))
+            changed.append(with_fields(model, strata=strata))
+        if len(model.charts) == 2 and model.charts[0] != model.charts[1]:
+            changed.append(with_fields(model, charts=model.charts[::-1]))
+        for other in changed:
+            assert not reference_equal(other, model)
+            assert other != model and not other == model
+
+    def test_reversed_cusp(self):
+        model = builtin_example("cusp_resolved")
+        reversed_ = with_fields(model, model.components[::-1], model.strata[::-1])
+        assert reversed_ == model and hash(reversed_) == hash(model)
+        # equal models, and their saved bytes differ: save_model keeps the order
+        assert save_model(reversed_) != save_model(model)
+        assert load_model(save_model(reversed_)) == model
+
+
 class TestWriterBytes:
     """``save_model`` writes the indent=2 layout itself; its bytes are those
     of ``json.dumps`` on the document dict."""

@@ -34,7 +34,15 @@ from ncmilnor.model import (
     builtin_example,
     validate,
 )
-from ncmilnor.ring import ONE, ZERO, KeyedClass, LefschetzPoly, UVPoly, ZetaFactorization
+from ncmilnor.ring import (
+    ONE,
+    ZERO,
+    KeyedClass,
+    LefschetzPoly,
+    UVPoly,
+    ZetaFactorization,
+    value_class,
+)
 
 XY = builtin_example("xy")
 XY_CHART = XY.charts[0]
@@ -98,6 +106,10 @@ CASES = [
 
 IDS = [case[0].__name__ for case in CASES]
 
+# what a value hashes other than its field tuple: a model hashes its indexes
+# {id: N} and {subset: class} in place of its ordered components and strata
+HASHED = {NCModel: (1, "local", frozenset({("x", 1)}), frozenset({(frozenset({"x"}), ONE)}), ())}
+
 
 @pytest.mark.parametrize("cls, fields, args, other, text", CASES, ids=IDS)
 class TestValueClass:
@@ -119,7 +131,7 @@ class TestValueClass:
 
     def test_hash(self, cls, fields, args, other, text):
         obj = cls(*args)
-        assert hash(obj) == hash(cls(*args)) == hash(args)
+        assert hash(obj) == hash(cls(*args)) == hash(HASHED.get(cls, args))
 
     def test_repr(self, cls, fields, args, other, text):
         assert repr(cls(*args)) == text
@@ -162,6 +174,33 @@ class TestNCModel:
             assert validate(again) == []
 
 
+def test_value_class_keeps_the_methods_a_class_writes():
+    @value_class
+    class Mod3:
+        __slots__ = ("n",)
+
+        def __eq__(self, other):
+            return other.__class__ is Mod3 and (self.n - other.n) % 3 == 0
+
+        def __hash__(self):
+            return hash(self.n % 3)
+
+    assert Mod3(1) == Mod3(4) and hash(Mod3(1)) == hash(Mod3(4)) and Mod3(1) != Mod3(2)
+    assert repr(Mod3(4)).endswith(".Mod3(4)")
+
+    @value_class
+    class EqualityOnly:  # Python leaves a class that writes __eq__ alone with no hash
+        __slots__ = ("n",)
+
+        def __eq__(self, other):
+            return NotImplemented
+
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(EqualityOnly(1))
+    assert NCModel.__eq__.__code__ is not Violation.__eq__.__code__
+    assert NCModel.__hash__.__code__ is not Violation.__hash__.__code__
+
+
 # the value types that compute a normal form in their own __init__
 OTHER_VALUES = [
     LefschetzPoly((1, 2)),
@@ -199,6 +238,8 @@ def test_value_type_pickle_and_copy(value):
         assert type(again) is type(value)
         assert again == value
         assert repr(again) == repr(value)
+        # a dict field (a term map, a centre's pieces) hashes as its items
+        assert hash(again) == hash(value)
 
 
 @pytest.mark.parametrize("value", OTHER_VALUES, ids=lambda v: type(v).__name__)
