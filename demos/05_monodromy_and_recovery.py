@@ -5,7 +5,9 @@ phase per divisor direction.  On the locus where the clock speeds
 1/(r_i N_i) sum to one, the monodromy flow rotates the phase of the
 function at unit speed; winding numbers read the multiplicities back off
 the phase map alone; and the Bezout splitting isolates the single circle
-the monodromy acts on.
+the monodromy acts on.  The chart-level blow-down takes points of every
+tag: it keeps the phase of the function and commutes with sending every
+radius to the boundary.
 """
 
 import cmath
@@ -22,6 +24,7 @@ from ncmilnor import (
     monodromy,
     psi_map,
     pullback_motivic_value,
+    quotient_to_top,
     recover_multiplicities,
     sigma_alog_chart,
     sign_f,
@@ -73,10 +76,23 @@ print(f"  f value {f_mot(p):.6f} vs unit * r^order = {image.scale ** image.order
 print()
 print("== a chart-level blow-down commutes with evaluation ==")
 unit = UnitPoly.constant(1)
+mults = {0: 2, 1: 3}
 up_base = (0j, 0.8 - 0.4j)
 up_polar = {0: PolarCoord(1.3, cmath.exp(0.7j))}
-down = sigma_alog_chart(2, {0: 2, 1: 3}, unit, 0, up_base, up_polar)
-upstairs = pullback_motivic_value(2, {0: 2, 1: 3}, unit, 0, up_base, up_polar)
+down = sigma_alog_chart(2, mults, unit, 0, up_base, up_polar)
+upstairs = pullback_motivic_value(2, mults, unit, 0, up_base, up_polar)
 print(f"  upstairs value of the pulled-back function: {upstairs:.6f}")
 print(f"  downstairs f at the image point:            {f_mot(down):.6f}")
 print(f"  relative gap: {abs(upstairs - f_mot(down)) / abs(upstairs):.2e}")
+
+print()
+print("== ... and on the boundary, where it keeps sign f ==")
+# the upstairs point sent to the boundary: every radius infinite
+top_polar = {k: PolarCoord(math.inf, pc.phase) for k, pc in up_polar.items()}
+top_down = sigma_alog_chart(2, mults, unit, 0, up_base, top_polar)
+print(f"  image tag: {classify(top_down).tag}")
+# sign f reads no radius, so upstairs it is the phase of the pulled-back value
+print(f"  sign f upstairs {upstairs / abs(upstairs):+.6f}, "
+      f"downstairs {sign_f(top_down):+.6f}")
+print(f"  sigma(quotient_to_top(p)) == quotient_to_top(sigma(p)): "
+      f"{top_down == quotient_to_top(down)}")

@@ -2,9 +2,10 @@
 
 Subcommands: ``validate``, ``census``, ``zeta``, ``euler``, ``motivic``,
 ``blowup``, ``invariance``, ``recover``, ``monodromy-demo``, ``examples``.
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 for success (and
-for "all realizations equal"), 1 when an invariance check finds a computed
-inequality, 2 for input errors.  Pass ``--json`` for machine-readable output.
+Results go to stdout, diagnostics to stderr, where each library warning is
+one ``warning:`` line.  Exit codes: 0 for success (and for "all realizations
+equal"), 1 when an invariance check finds a computed inequality, 2 for input
+errors.  Pass ``--json`` for machine-readable output.
 
 A command starts in the time of its imports, so this module imports only
 ``model`` (and through it ``ring``); each subcommand imports the layers it
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .model import (
@@ -365,11 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ModelError, OSError) as exc:  # LogspaceError is a ModelError
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    # recorded, so that a filter turning warnings into errors cannot change the exit code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.func(args)
+        except (ModelError, OSError) as exc:  # LogspaceError is a ModelError
+            print(f"error: {exc}", file=sys.stderr)
+            code = INPUT_ERROR
+    for item in caught:
+        print(f"warning: {item.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

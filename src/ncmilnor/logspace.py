@@ -33,19 +33,23 @@ The maps implemented here:
   normal-crossing function: its unit is the exact pullback
   ``UnitPoly.pullback`` and the exceptional coordinate carries the sum of
   the centre's multiplicities (A'Campo 1975).  ``sigma_alog_chart`` maps
-  that point to the downstairs point under it, and
-  ``pullback_motivic_value`` is ``f_mot`` of it.
+  an upstairs point of any tag to the point under it: downstairs centre
+  coordinate k gets radius r_E * r'_k at a strict transform and
+  r_E * |b_k| otherwise (inf * r = inf), phase theta_E * theta'_k or
+  theta_E * b_k/|b_k|, and the pivot keeps (r_E, theta_E).  It keeps
+  sign_f and commutes with ``quotient_to_top``.
+  ``pullback_motivic_value`` is ``f_mot`` of the upstairs point.
 
 Tolerances: unit modulus and unit-vanishing cutoffs are 1e-12; the phase
 identities are certified to 1e-9 by the test suite.  A chart multiplicity
 is at most 10**12 = 1/PHASE_TOL, so |theta^N| <= e for every accepted phase
 theta; ``effective_unit`` turns an overflowing or non-finite unit into a
-``LogspaceError``, and so does ``f_mot`` with its value.  A polar pair built
-from a computed value (``psi_inverse``, ``sigma_alog_chart``) that
-underflowed to zero or overflowed is a ``LogspaceError`` naming the
-coordinate, and so is a radius whose clock speed is not finite (``xi``).
-``psi_map`` raises ``LogspaceError`` when its scale or a residual
-underflows to zero or overflows.
+``LogspaceError``, and so does ``f_mot`` with its value.  A radius computed
+from finite data that underflows to zero or overflows (``psi_inverse``,
+``sigma_alog_chart``, ``simplex_representative``) is a ``LogspaceError``
+naming the coordinate, and so is a radius whose clock speed is not finite or
+zero (``xi``).  ``psi_map`` raises ``LogspaceError`` when its scale or a
+residual underflows to zero or overflows.
 """
 
 from __future__ import annotations
@@ -289,10 +293,15 @@ def xi(p: CplPoint) -> dict[int, float]:
     A finite radius so small (a subnormal float) that its speed is not
     finite raises ``LogspaceError`` naming the coordinate: an infinite
     speed would send the point to the boundary in
-    ``simplex_representative``."""
+    ``simplex_representative``.  So does a finite radius so large that
+    r_i N_i overflows, whose speed would read zero, as at the boundary."""
     out = {}
     for coord, pc in p.polar:
-        speed = 1.0 / (pc.radius * p.chart.multiplicity(coord)) if pc.finite else 0.0
+        scaled = pc.radius * p.chart.multiplicity(coord)
+        if pc.finite and math.isinf(scaled):
+            raise LogspaceError(f"clock speed at coordinate {coord} underflows to zero: "
+                                f"radius {pc.radius!r} is too large")
+        speed = 1.0 / scaled  # 0.0 at the boundary
         if math.isinf(speed):
             raise LogspaceError(f"clock speed at coordinate {coord} is not finite: "
                                 f"radius {pc.radius!r} is too small")
@@ -310,14 +319,21 @@ def simplex_representative(p: CplPoint) -> CplPoint:
 
     Scaling every finite radius by t divides each finite clock speed by t,
     so the orbit of any point with a finite coordinate crosses the unit-sum
-    locus once, at t = current sum.  Boundary points never reach it.
+    locus once, at t = current sum.  Boundary points never reach it.  A
+    finite radius that overflows when scaled raises ``LogspaceError`` naming
+    the coordinate, so the representative keeps the point's tag.
     """
     total = sum(xi(p).values())
     if total == 0.0:
         raise TopPointError("a boundary point's orbit misses the unit-sum locus")
-    return p.replace_polar({
-        coord: PolarCoord(total * pc.radius, pc.phase) if pc.finite else pc
-        for coord, pc in p.polar})
+    polar = {}
+    for coord, pc in p.polar:
+        if pc.finite:
+            pc = PolarCoord(total * pc.radius, pc.phase)
+            if not pc.finite:
+                raise LogspaceError(f"rescaled radius at coordinate {coord} overflows")
+        polar[coord] = pc
+    return p.replace_polar(polar)
 
 
 def monodromy(p: CplPoint, lam: float) -> CplPoint:
@@ -484,29 +500,41 @@ def _exceptional_point(codim: int, multiplicities: Mapping[int, int], unit: Unit
 def sigma_alog_chart(codim: int, multiplicities: Mapping[int, int], unit: UnitPoly,
                      pivot: int, up_base: Sequence[complex],
                      up_polar: Mapping[int, PolarCoord]) -> CplPoint:
-    """Push an upstairs algebraic log point through the blow-down map.
+    """Push an upstairs log point of any tag through the blow-down map.
 
     The centre is the coordinate subspace spanned by the first ``codim``
     coordinates' vanishing; ``multiplicities`` names the divisor coordinates
     among them.  The upstairs point lives in the exceptional chart with unit
     entry at ``pivot``: its base has a zero pivot entry (it is on the
     exceptional divisor) and zeros at the strict-transform coordinates that
-    carry polar data.  Downstairs, divisor coordinate k receives the value
+    carry polar data.  With (r_E, theta_E) the exceptional polar pair,
+    downstairs divisor coordinate k receives
 
-        exceptional value * base_k        for k not under a strict transform
-        exceptional value                  for the pivot itself
-        exceptional value * polar value k  for strict-transform coordinates
+        (r_E, theta_E)                          for the pivot itself
+        (r_E * r'_k, theta_E * theta'_k)        at a strict transform
+        (r_E * |b_k|, theta_E * b_k / |b_k|)    otherwise, b = the base
 
-    which is the normal-vector description of the blow-down; the centre
-    coordinates of the base are zero and the others are kept.
+    with inf * r = inf: the normal-vector description of the blow-down,
+    extended to the boundary.  Phases never read radii, so the map commutes
+    with ``quotient_to_top``; the exceptional multiplicity is the sum of the
+    centre's, so it keeps sign_f.  Two finite radii whose product underflows
+    to zero or overflows raise ``LogspaceError``.  The centre coordinates of
+    the base are zero and the others are kept.
     """
     up = _exceptional_point(codim, multiplicities, unit, pivot, up_base, up_polar)
-    values = {k: pc.value() for k, pc in up.polar}
-    exceptional = values.pop(pivot)
+    upstairs = up.polar_map()
+    exceptional = upstairs.pop(pivot)
     polar = {}
     for k in multiplicities:
-        v = exceptional if k == pivot else exceptional * values.get(k, up.base[k])
-        polar[k] = _polar(k, v)
+        if k == pivot:
+            polar[k] = exceptional
+            continue
+        pc = upstairs[k] if k in upstairs else _polar(k, up.base[k])
+        radius = exceptional.radius * pc.radius
+        if exceptional.finite and pc.finite and not 0 < radius < math.inf:
+            raise LogspaceError(f"value at coordinate {k} is zero or not finite")
+        phase = exceptional.phase * pc.phase  # within 2 * PHASE_TOL of the circle
+        polar[k] = PolarCoord(radius, phase / abs(phase))
     down_chart = Chart(len(up.base), {k: f"d{k}" for k in multiplicities}, unit)
     return CplPoint(ChartContext(down_chart, multiplicities),
                     (0j,) * codim + up.base[codim:], polar)
@@ -521,46 +549,6 @@ def pullback_motivic_value(codim: int, multiplicities: Mapping[int, int], unit: 
     diagram, and pins the exceptional multiplicity and the pulled-back unit.
     """
     return f_mot(_exceptional_point(codim, multiplicities, unit, pivot, up_base, up_polar))
-
-
-# ---------------------------------------------------------------------------
-# fibre parametrization of the blow-down over a boundary point
-# (plane geometry: one divisor through the origin, centre the origin)
-
-@value_class
-class FibreSample:
-    """One point of the blow-down fibre over a boundary log point, together
-    with its coordinate on the half-sphere {(w, rho): |w|^2 + rho^2 = 1,
-    rho >= 0}: interior points (rho > 0) sit over the open exceptional line,
-    boundary points (rho = 0) on the corner circle.  ``position`` is None on
-    the boundary."""
-
-    __slots__ = ("stratum", "position", "phases", "downstairs_phase")
-
-
-def sigma_log_fibre_point(downstairs_phase: complex, w: complex, rho: float) -> FibreSample:
-    """Decode a half-sphere coordinate into the fibre point over the given
-    boundary phase."""
-    if not abs(abs(downstairs_phase) - 1.0) <= PHASE_TOL:
-        raise LogspaceError("downstairs phase must be unit modulus")
-    if not (rho >= 0 and abs(abs(w) ** 2 + rho**2 - 1.0) <= 1e-9):
-        raise LogspaceError("(w, rho) must lie on the unit half-sphere")
-    theta = downstairs_phase
-    if rho > 0:
-        position = (w / rho) * theta.conjugate()
-        return FibreSample("interior", position, (theta,), theta)
-    exceptional_phase = w
-    strict_phase = theta * w.conjugate()
-    return FibreSample("boundary", None, (exceptional_phase, strict_phase),
-                       exceptional_phase * strict_phase)
-
-
-def sigma_log_fibre_coordinate(sample: FibreSample) -> tuple[complex, float]:
-    """Encode a fibre point back into its half-sphere coordinate."""
-    if sample.stratum == "interior":
-        norm = math.hypot(abs(sample.position), 1.0)
-        return sample.phases[0] * sample.position / norm, 1.0 / norm
-    return sample.phases[0], 0.0
 
 
 # ---------------------------------------------------------------------------

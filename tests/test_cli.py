@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 import ncmilnor
 from ncmilnor.cli import MAX_STEPS, main
-from ncmilnor.blowup import point_center, save_center
+from ncmilnor.blowup import CenterSpec, point_center, save_center
 from ncmilnor.milnor import naive_absolute_class
 from ncmilnor.model import (
     Component,
@@ -22,7 +23,7 @@ from ncmilnor.model import (
     save_model,
     validate,
 )
-from ncmilnor.ring import ONE
+from ncmilnor.ring import ONE, LefschetzPoly
 
 BUILTINS = ("smooth", "xy", "cusp_resolved", "power_3", "xa_yb_2_3")
 SRC = str(Path(ncmilnor.__file__).resolve().parent.parent)
@@ -210,6 +211,23 @@ class TestBlowupFlow:
         assert code == 0
         assert "all realizations equal" in out
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_warning_is_a_stderr_line_under_an_error_filter(self, capsys, tmp_path, xy_path,
+                                                            flags):
+        # a corner centre of class 2 leaves the corner stratum class -1
+        center_path = tmp_path / "corner2.json"
+        center_path.write_text(save_center(
+            CenterSpec(("x", "y"), (), 2, {frozenset(): LefschetzPoly((2,))}, "E")))
+        argv = [*flags, "blowup", xy_path, "--center", str(center_path),
+                "--out", str(tmp_path / "blown.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ("warning: stratum {x, y}: class minus centre class has negative "
+                       "leading coefficient; check the centre data\n")
+        assert (code, out, err) == run(capsys, *argv)
+
     def test_ambient_dim_over_limit_exits_2(self, capsys, tmp_path):
         # a point centre of codim ambient_dim would need a class with
         # ambient_dim coefficients; the model is rejected before that
@@ -358,8 +376,12 @@ class TestNumericCommands:
         # a clock speed 1/r that overflows would send the point to the boundary
         ["monodromy-demo", "--steps", "2", "--point",
          json.dumps(XY_POINT).replace('"r": 1.0', '"r": 1e-320')],
+        # speeds (1e300, 1e-300): the second radius scaled by their sum overflows
+        ["monodromy-demo", "--steps", "2", "--point",
+         json.dumps(XY_POINT).replace('"r": 1.0', '"r": 1e-300', 1)
+         .replace('"r": 1.0', '"r": 1e300')],
     ], ids=["steps-0", "steps-negative", "samples-4", "nan-phase", "nan-base",
-            "steps-too-many", "subnormal-radius"])
+            "steps-too-many", "subnormal-radius", "rescaled-radius-overflow"])
     def test_out_of_range_input_exits_2(self, capsys, xy_path, argv):
         # exit 1 is reserved for a computed inequality
         try:

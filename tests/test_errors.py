@@ -28,7 +28,6 @@ from ncmilnor.logspace import (
     pullback_motivic_value,
     recover_multiplicities,
     sigma_alog_chart,
-    sigma_log_fibre_point,
     sign_oracle,
     simplex_representative,
     xi,
@@ -82,9 +81,10 @@ def tiny_radius_point():
     return CplPoint(xy_ctx(), (0j, 0j), {0: PolarCoord(1e-320, 1 + 0j), 1: PolarCoord(1e-320, 1j)})
 
 
-def xayb_point(radius):
+def xayb_point(radius, radius_1=None):
     return CplPoint(chart_context(builtin_example("xa_yb_2_3")), (0j, 0j),
-                    {0: PolarCoord(radius, 1 + 0j), 1: PolarCoord(radius, 1j)})
+                    {0: PolarCoord(radius, 1 + 0j),
+                     1: PolarCoord(radius if radius_1 is None else radius_1, 1j)})
 
 
 TINY_RADIUS = "clock speed at coordinate 0 is not finite: radius 1e-320 is too small"
@@ -180,8 +180,14 @@ RAISES = [
     ("pullback-unit-vanishes",
      lambda: pullback_motivic_value(2, {0: 1}, UnitPoly({}), 0, (0j, 1 + 0j), {0: PC}),
      UnitVanishingError, "unit vanishes at the base point"),
-    ("fibre-phase", lambda: sigma_log_fibre_point(2 + 0j, 1 + 0j, 0.0), LogspaceError,
-     "downstairs phase must be unit modulus"),
+    ("blowup-radius-underflow",
+     lambda: sigma_alog_chart(2, {0: 1}, UnitPoly.constant(1), 1, (0j, 0j),
+                              {1: PolarCoord(1e-200, 1 + 0j), 0: PolarCoord(1e-200, 1j)}),
+     LogspaceError, "value at coordinate 0 is zero or not finite"),
+    ("blowup-radius-overflow",
+     lambda: sigma_alog_chart(2, {0: 1}, UnitPoly.constant(1), 1, (0j, 0j),
+                              {1: PolarCoord(1e200, 1 + 0j), 0: PolarCoord(1e200, 1j)}),
+     LogspaceError, "value at coordinate 0 is zero or not finite"),
     ("point-document", lambda: point_from_json(xy_ctx(), {}), LogspaceError,
      "bad point document: 'base'"),
     ("xi-subnormal-radius", lambda: xi(tiny_radius_point()), LogspaceError, TINY_RADIUS),
@@ -191,6 +197,11 @@ RAISES = [
      TINY_RADIUS),
     ("monodromy-subnormal-radius", lambda: monodromy(tiny_radius_point(), 0.5), LogspaceError,
      TINY_RADIUS),
+    ("xi-huge-radius", lambda: xi(xayb_point(1e308)), LogspaceError,
+     "clock speed at coordinate 0 underflows to zero: radius 1e+308 is too large"),
+    ("simplex-rescaled-radius-overflow",
+     lambda: simplex_representative(xayb_point(1e-300, 1e300)), LogspaceError,
+     "rescaled radius at coordinate 1 overflows"),
     ("psi-map-overflow", lambda: psi_map(xayb_point(1e200)), LogspaceError, BEZOUT_RANGE),
     ("psi-map-underflow", lambda: psi_map(xayb_point(1e-200)), LogspaceError, BEZOUT_RANGE),
 ]

@@ -5,10 +5,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncmilnor.logspace import (
     ChartContext,
-    FibreSample,
     CplPoint,
     LogspaceError,
     NonMotivicPointError,
@@ -30,8 +30,6 @@ from ncmilnor.logspace import (
     quotient_to_top,
     recover_multiplicities,
     sigma_alog_chart,
-    sigma_log_fibre_coordinate,
-    sigma_log_fibre_point,
     sign_f,
     sign_oracle,
     simplex_representative,
@@ -436,9 +434,11 @@ class TestSigmaChart:
             sigma_alog_chart(2, {0: 1}, unit, 0, (0j, 0j), {1: PolarCoord(1, 1)})
         with pytest.raises(LogspaceError, match="must be exactly zero"):
             sigma_alog_chart(2, {0: 1}, unit, 1, (0j, 1 + 0j), {1: PolarCoord(1, 1)})
-        with pytest.raises(LogspaceError, match="boundary circle"):
-            sigma_alog_chart(2, {0: 1, 1: 1}, unit, 0, (0j, 1 + 0j),
-                             {0: PolarCoord(INF, 1)})
+        # an exceptional boundary point lies over the boundary point with the
+        # pivot's polar pair and phase theta_E * b_1/|b_1| at coordinate 1
+        top = sigma_alog_chart(2, {0: 1, 1: 1}, unit, 0, (0j, 1j), {0: PolarCoord(INF, 1j)})
+        assert top.polar == ((0, PolarCoord(INF, 1j)), (1, PolarCoord(INF, -1 + 0j)))
+        assert classify(top).tag == "top"
         with pytest.raises(LogspaceError, match="vanishes but has no polar data"):
             sigma_alog_chart(2, {0: 1, 1: 1}, unit, 0, (0j, 0j), {0: PolarCoord(1, 1)})
 
@@ -495,43 +495,151 @@ class TestSigmaChart:
                 assert abs(up - f_mot(down)) < 1e-9 * abs(up)
 
 
+def sigma_point(codim, mults, unit, pivot, p):
+    """``sigma_alog_chart`` of an upstairs point ``p``."""
+    return sigma_alog_chart(codim, mults, unit, pivot, p.base, p.polar_map())
+
+
+def exceptional_chart(codim, mults, unit, pivot, dim):
+    """The exceptional chart by the paper's formulae, built here as an oracle:
+    the unit pulled back, the exceptional coordinate of multiplicity sum N_k."""
+    up_mults = {**mults, pivot: sum(mults.values())}
+    chart = Chart(dim, {k: f"u{k}" for k in up_mults}, unit.pullback(codim, pivot))
+    return ChartContext(chart, up_mults)
+
+
+# a unit on the centre coordinates 0..codim-1 and one coordinate z past them:
+# 2 + (terms that vanish on the exceptional divisor) + z/2 + i z^3/4, which
+# keeps |unit| >= 5/4 for |z| <= 1 at every point of the exceptional divisor
+def nonconstant_unit(codim):
+    return UnitPoly({(): (2, 0), (1,): (5, 1), (0, 1): (-3, 0),
+                     (0,) * codim + (1,): ("1/2", 0), (0,) * codim + (3,): (0, "1/4")})
+
+
+@st.composite
+def upstairs_points(draw):
+    """(codim, multiplicities, pivot, point) with the point on the exceptional
+    chart: every tag, both pivots, strict transforms and open positions."""
+    codim = draw(st.sampled_from((2, 3)))
+    divisors = draw(st.sets(st.integers(0, codim - 1), min_size=1))
+    mults = {k: draw(st.integers(1, 7)) for k in sorted(divisors)}
+    pivot = draw(st.integers(0, codim - 1))
+    ctx = exceptional_chart(codim, mults, nonconstant_unit(codim), pivot, codim + 1)
+    turn = st.floats(0, 1)
+    radius = st.one_of(st.just(INF), st.floats(0.3, 3.0))
+
+    def polar_pair():
+        return PolarCoord(draw(radius), cmath.exp(2j * math.pi * draw(turn)))
+
+    base = [0j] * codim + [draw(st.floats(0, 1)) * cmath.exp(2j * math.pi * draw(turn))]
+    polar = {pivot: polar_pair()}
+    for k in range(codim):
+        if k == pivot:
+            continue
+        if k in mults and draw(st.booleans()):
+            polar[k] = polar_pair()  # on the strict transform of divisor k
+        else:
+            base[k] = draw(st.floats(0.2, 2.0)) * cmath.exp(2j * math.pi * draw(turn))
+    return codim, mults, pivot, CplPoint(ctx, base, polar)
+
+
+class TestSigmaEveryTag:
+    @settings(max_examples=300, deadline=None)
+    @given(upstairs_points(), st.floats(-2, 2))
+    def test_blow_down_laws(self, case, lam):
+        codim, mults, pivot, up = case
+        unit = nonconstant_unit(codim)
+        down = sigma_point(codim, mults, unit, pivot, up)
+        tag = classify(up).tag
+        assert classify(down).tag in ({tag} if tag != "mixed" else {"mixed", "top"})
+        assert abs(sign_f(down) - sign_f(up)) <= 1e-12
+        assert (sigma_point(codim, mults, unit, pivot, quotient_to_top(up))
+                == quotient_to_top(down))
+        if tag == "top":
+            return
+        rep = simplex_representative(up)
+        turned = sigma_point(codim, mults, unit, pivot, monodromy(rep, lam))
+        rotation = cmath.exp(2j * math.pi * lam)
+        assert abs(sign_f(turned)
+                   - rotation * sign_f(sigma_point(codim, mults, unit, pivot, rep))) <= 1e-12
+        if tag == "mot":
+            value = pullback_motivic_value(codim, mults, unit, pivot, up.base, up.polar_map())
+            assert abs(f_mot(down) - value) <= 1e-12 * abs(value)
+
+
 class TestFibreParametrization:
+    """The fibre of the blow-down at the origin of the plane, f = x^3, over
+    the boundary point with phase theta, enumerated in both exceptional
+    charts: pivot 0 (coordinate 1 is the position on the open exceptional
+    line) and pivot 1 (coordinate 0 is the strict transform of x = 0)."""
+
+    N = {0: 3}
+    UNIT = UnitPoly.constant(1)
+    THETA = cmath.exp(0.9j)
+
+    def down(self, pivot, base, polar):
+        return sigma_alog_chart(2, self.N, self.UNIT, pivot, base, polar)
+
+    def assert_over_the_point(self, q):
+        (coord, pc), = q.polar
+        assert q.base == (0j, 0j) and coord == 0
+        assert pc.radius == INF and abs(pc.phase - self.THETA) <= 1e-12
+
+    def line_points(self, u):
+        """The point of the open exceptional line at position u = y/x in
+        both charts (in the pivot-1 chart only for u != 0)."""
+        yield 0, (0j, u), {0: PolarCoord(INF, self.THETA)}
+        if u:
+            v = 1 / u  # x/y, and the exceptional phase is that of y = x u
+            yield 1, (v, 0j), {1: PolarCoord(INF, self.THETA * u / abs(u))}
+
+    def corner_points(self, phase_e):
+        """Points at the corner of the pivot-1 chart with exceptional phase
+        ``phase_e``: at least one of the two radii at the boundary."""
+        strict = self.THETA / phase_e
+        for r_e, r_strict in ((INF, INF), (INF, 0.5), (2.0, INF)):
+            yield 1, (0j, 0j), {1: PolarCoord(r_e, phase_e), 0: PolarCoord(r_strict, strict)}
+
     def test_membership_and_consistency(self):
         rng = random.Random(31)
-        theta = cmath.exp(0.9j)
         for _ in range(100):
-            z = complex(rng.gauss(0, 1), rng.gauss(0, 1))
-            rho = abs(rng.gauss(0, 1))
-            norm = math.sqrt(abs(z) ** 2 + rho**2)
-            w, rho = z / norm, rho / norm
-            sample = sigma_log_fibre_point(theta, w, rho)
-            assert abs(sample.downstairs_phase - theta) < 1e-9
-            w2, rho2 = sigma_log_fibre_coordinate(sample)
-            assert abs(w2 - w) < 1e-9 and abs(rho2 - rho) < 1e-9
+            u = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            for pivot, base, polar in (*self.line_points(u),
+                                       *self.corner_points(random_phase(rng))):
+                q = self.down(pivot, base, polar)
+                self.assert_over_the_point(q)
+                assert abs(sign_f(q) - self.THETA**3) <= 1e-12
 
     def test_two_degrees_of_freedom(self):
-        # a grid of interior positions hits pairwise distinct coordinates
-        theta = 1 + 0j
+        # a grid of positions on the open exceptional line: pairwise distinct
+        # upstairs points over the one boundary point
         seen = set()
         for re in range(-3, 4):
             for im in range(-3, 4):
-                sample = FibreSample("interior", complex(re, im), (theta,), theta)
-                w, rho = sigma_log_fibre_coordinate(sample)
-                assert abs(abs(w) ** 2 + rho**2 - 1) < 1e-12 and rho > 0
-                key = (round(w.real, 9), round(w.imag, 9), round(rho, 9))
-                assert key not in seen
-                seen.add(key)
+                for pivot, base, polar in self.line_points(complex(re, im)):
+                    self.assert_over_the_point(self.down(pivot, base, polar))
+                    seen.add((pivot, base))
+        assert len(seen) == 49 + 48
 
     def test_boundary_circle(self):
-        theta = cmath.exp(1.1j)
-        sample = sigma_log_fibre_point(theta, cmath.exp(0.4j), 0.0)
-        assert sample.stratum == "boundary"
-        assert abs(sample.phases[0] * sample.phases[1] - theta) < 1e-12
+        # the corner circle: exceptional and strict phases with product theta
+        for step in range(16):
+            phase_e = cmath.exp(2j * math.pi * step / 16)
+            for pivot, base, polar in self.corner_points(phase_e):
+                self.assert_over_the_point(self.down(pivot, base, polar))
+                assert abs(polar[1].phase * polar[0].phase - self.THETA) <= 1e-12
 
     def test_boundary_coordinate_is_the_exceptional_phase(self):
-        sample = sigma_log_fibre_point(cmath.exp(1.1j), cmath.exp(0.4j), 0.0)
-        assert sigma_log_fibre_coordinate(sample) == (cmath.exp(0.4j), 0.0)
+        exceptional = PolarCoord(INF, self.THETA)
+        q = self.down(0, (0j, 0.3 - 2j), {0: exceptional})
+        assert q.polar == ((0, exceptional),)
 
-    def test_off_sphere_rejected(self):
-        with pytest.raises(LogspaceError):
-            sigma_log_fibre_point(1 + 0j, 2 + 0j, 0.5)
+    def test_points_off_the_fibre_miss_the_point(self):
+        # a finite exceptional radius off the corner, two finite corner radii,
+        # or a corner phase product other than theta lands elsewhere
+        assert classify(self.down(0, (0j, 1j), {0: PolarCoord(2.0, self.THETA)})).tag == "mot"
+        both_finite = {1: PolarCoord(2.0, 1j), 0: PolarCoord(0.5, -1j * self.THETA)}
+        assert classify(self.down(1, (0j, 0j), both_finite)).tag == "mot"
+        q = self.down(1, (0j, 0j), {1: PolarCoord(INF, 1j), 0: PolarCoord(INF, self.THETA)})
+        assert q.polar_map()[0].radius == INF
+        assert abs(q.polar_map()[0].phase - 1j * self.THETA) <= 1e-12

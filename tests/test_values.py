@@ -16,7 +16,6 @@ from ncmilnor.logspace import (
     ChartContext,
     Classification,
     CplPoint,
-    FibreSample,
     PolarCoord,
     PsiImage,
     chart_context,
@@ -99,9 +98,6 @@ CASES = [
     (PsiImage, ("base", "scale", "residual", "order"), ((0j,), 1j, ((0, 1 + 0j),), 2),
      ((0j,), 1j, ((0, 1 + 0j),), 3),
      "PsiImage(base=(0j,), scale=1j, residual=((0, (1+0j)),), order=2)"),
-    (FibreSample, ("stratum", "position", "phases", "downstairs_phase"),
-     ("interior", 1j, (1j,), 1j), ("interior", 2j, (1j,), 1j),
-     "FibreSample(stratum='interior', position=1j, phases=(1j,), downstairs_phase=1j)"),
 ]
 
 IDS = [case[0].__name__ for case in CASES]
